@@ -262,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"capacity: {exc}\n")
         return 2
-    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -10,7 +10,9 @@ and then resolving one of three constructive cases.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,43 +308,110 @@ def _cross(g: SignedWeightedGraph, a: VertexSubset, b: VertexSubset) -> float:
     return total
 
 
+_TABLE_CAP = 16  # subset masks and pair indices fit in uint16
+_PAIR_CHUNK = 1 << 13  # max (subset, side) pairs per kernel step, unless one group is larger
+
+
+@dataclass(frozen=True)
+class _PairChunk:
+    """Whole subset groups of the all-subset table, as read-only index arrays.
+
+    Group t is the subset xs[t] with all of its submasks: pairs
+    starts[t] .. starts[t] + reps[t] - 1 of sub/rest, with sub | rest = xs[t]
+    and sub & rest = 0.
+    """
+
+    xs: np.ndarray  # uint16 subset masks, one per group
+    reps: np.ndarray  # group sizes 2^|xs|
+    sub: np.ndarray  # uint16 side masks, one per pair
+    rest: np.ndarray  # uint16 complements xs ^ sub, one per pair
+    starts: np.ndarray  # group offsets within this chunk, for reduceat
+
+
+@functools.cache
+def _build_pair_chunks(n: int) -> tuple[_PairChunk, ...]:
+    """Every (subset, side) pair over n vertices, grouped by subset, in chunks.
+
+    Groups run by popcount, then by mask, so group sizes never decrease and a
+    chunk packs whole groups up to _PAIR_CHUNK pairs.  The 3^n pairs depend
+    only on n, not on the graph.
+    """
+    masks = np.arange(1 << n, dtype=np.uint16)
+    pop = sum((masks >> b) & 1 for b in range(n))
+    sub = np.empty(3**n, dtype=np.uint16)
+    rest = np.empty(3**n, dtype=np.uint16)
+    by_pop = [masks[pop == k] for k in range(n + 1)]
+    xs = np.concatenate(by_pop)
+    reps = np.concatenate([np.full(len(xk), 1 << k) for k, xk in enumerate(by_pop)])
+    offset = 0
+    for k, xk in enumerate(by_pop):
+        # Submasks by doubling over the set bits of each mask, lowest first.
+        s = np.zeros((len(xk), 1), dtype=np.uint16)
+        remaining = xk.copy()
+        for _ in range(k):
+            low = remaining & -remaining
+            remaining ^= low
+            s = np.concatenate([s, s | low[:, None]], axis=1)
+        sub[offset : offset + s.size] = s.ravel()
+        rest[offset : offset + s.size] = (xk[:, None] ^ s).ravel()
+        offset += s.size
+    ends = np.cumsum(reps)
+    starts = ends - reps
+    for a in (xs, reps, sub, rest):
+        a.setflags(write=False)
+    chunks = []
+    g0 = 0
+    while g0 < len(xs):
+        g1 = max(g0 + 1, int(np.searchsorted(ends, starts[g0] + _PAIR_CHUNK, side="right")))
+        p0, p1 = starts[g0], ends[g1 - 1]
+        local = starts[g0:g1] - p0
+        local.setflags(write=False)
+        chunks.append(
+            _PairChunk(xs[g0:g1], reps[g0:g1], sub[p0:p1], rest[p0:p1], local)
+        )
+        g0 = g1
+    return tuple(chunks)
+
+
+_pair_chunks_lock = threading.Lock()
+
+
+def _pair_chunks(n: int) -> tuple[_PairChunk, ...]:
+    # One build per n even when pool threads ask for the same n at once.
+    with _pair_chunks_lock:
+        return _build_pair_chunks(n)
+
+
 def all_subset_cut_extremes(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(max, min) signed cut weight of every induced subgraph, indexed by subset mask.
 
-    Runs the classic subset-decomposition recurrence over all 3^n (subset,
-    side) pairs, so it is capped at n <= 16.  Entry [mask] covers the subgraph
-    induced by {v : bit v-1 of mask}.
+    Entry [mask] covers the subgraph induced by {v : bit v-1 of mask}.  Each
+    of the 3^n (subset x, side u) pairs gives the cut weight
+    gamma(x) - gamma(u) - gamma(x minus u), reduced per x, so n <= 16.
+    The extremes of the same doubles are exact: the tables are bit-identical
+    to a pair-by-pair loop that starts from 0.0, compares strictly and skips
+    NaN (the overflow case).
     """
     n = g.n
-    if n > 16:
-        raise CapacityError(f"all-subset cut table needs n <= 16, got {n}")
-    size = 1 << n
+    if n > _TABLE_CAP:
+        raise CapacityError(f"all-subset cut table needs n <= {_TABLE_CAP}, got {n}")
     gam = all_subset_gamma(g)
-    mu_plus = np.zeros(size)
-    mu_minus = np.zeros(size)
-    for x_mask in range(size):
-        gx = gam[x_mask]
-        hi = 0.0
-        lo = 0.0
-        # iterate proper nonempty submasks plus the empty side (value 0 covered by init)
-        sub = (x_mask - 1) & x_mask
-        while sub:
-            val = gx - gam[sub] - gam[x_mask ^ sub]
-            if val > hi:
-                hi = val
-            elif val < lo:
-                lo = val
-            sub = (sub - 1) & x_mask
-        mu_plus[x_mask] = hi
-        mu_minus[x_mask] = lo
-    return mu_plus, mu_minus
+    mu_plus = np.empty(1 << n)
+    mu_minus = np.empty(1 << n)
+    for c in _pair_chunks(n):
+        val = np.repeat(gam[c.xs], c.reps) - gam[c.sub]
+        val -= gam[c.rest]
+        mu_plus[c.xs] = np.fmax.reduceat(val, c.starts)
+        mu_minus[c.xs] = np.fmin.reduceat(val, c.starts)
+    # The empty side's 0.0 bounds both tables; + 0.0 turns -0.0 into 0.0.
+    return np.fmax(mu_plus, 0.0) + 0.0, np.fmin(mu_minus, 0.0) + 0.0
 
 
 def all_subset_gamma(g: SignedWeightedGraph, absolute: bool = False) -> np.ndarray:
     """gamma weight (or absolute gamma weight) of every subset mask; n <= 16."""
     n = g.n
-    if n > 16:
-        raise CapacityError(f"all-subset gamma table needs n <= 16, got {n}")
+    if n > _TABLE_CAP:
+        raise CapacityError(f"all-subset gamma table needs n <= {_TABLE_CAP}, got {n}")
     from .simplex import bit_matrix
 
     bits = bit_matrix(n)

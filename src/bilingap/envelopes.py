@@ -336,17 +336,19 @@ def gap_report(g: SignedWeightedGraph, x: EvaluationPoint) -> GapReport:
     """
     _check_point(g, x)
     mcu, mcl = mccormick_envelopes(g, x)
-    mcgap = max(mcu - mcl, 0.0)
+    mcgap = mcu - mcl
     if x.is_half_point:
         mu_plus, mu_minus = cut_range_bruteforce(g, x.fractional_support)
         cav, vex, chgap = envelopes_halfpoint(g, x, mu_plus, mu_minus)
         method = "closed_form"
     else:
         cav, vex = hull_envelopes_lp(g, x)
-        chgap = max(cav - vex, 0.0)
+        chgap = cav - vex
         method = "lp"
     if chgap < -_ZERO or mcgap < -_ZERO:
         raise InvariantViolationError(f"negative gap computed: mcgap={mcgap}, chgap={chgap}")
+    mcgap = max(mcgap, 0.0)
+    chgap = max(chgap, 0.0)
     degenerate = False
     if chgap > _ZERO:
         ratio = mcgap / chgap

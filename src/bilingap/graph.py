@@ -8,6 +8,8 @@ Subsets are stored as bitmasks (vertex v <-> bit v-1), which caps n at 63.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -85,6 +87,17 @@ class VertexSubset:
         return VertexSubset(self.mask & ~other.mask)
 
 
+# The exact-type test first: the ABC checks cost several times more per edge.
+def _is_int(v) -> bool:
+    """Python or numpy integer, but not a bool."""
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
+
+
+def _is_real(v) -> bool:
+    """Python or numpy real number, but not a bool."""
+    return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+
+
 @dataclass(frozen=True)
 class SignedWeightedGraph:
     """Simple undirected graph with nonzero real edge weights.
@@ -98,7 +111,7 @@ class SignedWeightedGraph:
     edges: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InputError(f"vertex count must be a positive integer, got {self.n!r}")
         if self.n > MAX_VERTICES:
             raise CapacityError(
@@ -111,12 +124,19 @@ class SignedWeightedGraph:
                 i, j, w = e
             except (TypeError, ValueError):
                 raise InputError(f"edge {e!r} is not an (i, j, weight) triple") from None
-            i, j, w = int(i), int(j), float(w)
+            if not (_is_int(i) and _is_int(j)):
+                raise InputError(f"edge {e!r}: vertex indices must be integers")
+            if not _is_real(w):
+                raise InputError(f"edge {e!r}: weight must be a real number")
+            try:
+                i, j, w = int(i), int(j), float(w)
+            except OverflowError:
+                raise InputError(f"edge {e!r} has a weight beyond the float range") from None
             if not 1 <= i < j <= self.n:
                 raise InputError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= {self.n}")
             if w == 0.0:
                 raise InputError(f"edge ({i}, {j}) has zero weight; omit absent edges")
-            if not np.isfinite(w):
+            if not math.isfinite(w):
                 raise InputError(f"edge ({i}, {j}) has non-finite weight {w!r}")
             if (i, j) in seen:
                 raise InputError(f"duplicate edge ({i}, {j})")
@@ -245,7 +265,7 @@ def from_json_dict(data: dict) -> SignedWeightedGraph:
         raise InputError('instance JSON must be an object with "n" and "edges"')
     n = data["n"]
     edges = data["edges"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f'"n" must be an integer, got {n!r}')
     if not isinstance(edges, list):
         raise InputError('"edges" must be an array of [i, j, weight] triples')

@@ -296,6 +296,28 @@ class TestErrorPaths:
         assert code == 0
         assert json.loads(out_text)["method"] == "closed_form"
 
+    def test_config_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "experiment", "--config", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_config_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, _, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("edge", ["[1.7, 2, 1.0]", "[1, 3, true]"])
+    def test_coercible_edge_fields_exit_1(self, capsys, tmp_path, edge):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 3, "edges": [' + edge + "]}")
+        code, out, err = run_cli(capsys, "eval", "--instance", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_malformed_instance_json(self, capsys, tmp_path):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilingap import cuts
 from bilingap.cuts import (
     ENUMERATION_CAP,
     all_subset_cut_extremes,
@@ -175,6 +179,93 @@ class TestAllSubsetTables:
             all_subset_cut_extremes(g)
         with pytest.raises(CapacityError):
             all_subset_gamma(g)
+
+
+def _subset_extremes_reference(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Element-wise submask loop that the vectorized all-subset tables replace."""
+    size = 1 << g.n
+    gam = all_subset_gamma(g)
+    mu_plus = np.zeros(size)
+    mu_minus = np.zeros(size)
+    for x_mask in range(size):
+        gx = gam[x_mask]
+        hi = 0.0
+        lo = 0.0
+        sub = (x_mask - 1) & x_mask
+        while sub:
+            val = gx - gam[sub] - gam[x_mask ^ sub]
+            if val > hi:
+                hi = val
+            elif val < lo:
+                lo = val
+            sub = (sub - 1) & x_mask
+        mu_plus[x_mask] = hi
+        mu_minus[x_mask] = lo
+    return mu_plus, mu_minus
+
+
+def _mixed_weight_graph(seed: int, n: int) -> SignedWeightedGraph:
+    """Random graph with dyadic and uniform real weights, seeded."""
+    rnd = random.Random(seed)
+    edges = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if rnd.random() < 0.7:
+                w = rnd.choice([3.5, -3.5, 2.25, -2.25, rnd.uniform(-3.0, 3.0)])
+                edges.append((i, j, w or 1.0))
+    return SignedWeightedGraph(n, tuple(edges))
+
+
+def _assert_same_bytes(tables, reference):
+    assert tables[0].tobytes() == reference[0].tobytes()
+    assert tables[1].tobytes() == reference[1].tobytes()
+
+
+class TestAllSubsetKernel:
+    @given(st.integers(0, 10**6), st.integers(1, 10), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_tables_bit_identical_to_reference(self, seed, n, integer_weights):
+        g = random_int_graph(seed, n) if integer_weights else _mixed_weight_graph(seed, n)
+        _assert_same_bytes(all_subset_cut_extremes(g), _subset_extremes_reference(g))
+
+    def test_overflowing_pairs_match_reference(self):
+        # gamma overflows to +-inf, so some pairs evaluate inf - inf = nan;
+        # the loop never takes a nan, and neither may the kernel.
+        edges = ((1, 2, 1e308), (1, 3, 1e308), (2, 3, 1e308), (3, 4, -1e308), (1, 4, 2.5))
+        g = SignedWeightedGraph(4, edges)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = all_subset_cut_extremes(g)
+            reference = _subset_extremes_reference(g)
+        _assert_same_bytes(tables, reference)
+        assert not np.isnan(tables[0]).any() and not np.isnan(tables[1]).any()
+
+    def test_two_threads_on_cold_cache_match_serial(self):
+        ns = [12, 12, 11, 11, 7, 7, 3, 10, 1, 5]  # pairs ask for the same n at once
+        graphs = [_mixed_weight_graph(100 + t, n) for t, n in enumerate(ns)]
+        serial = [all_subset_cut_extremes(g) for g in graphs]
+        cuts._build_pair_chunks.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(all_subset_cut_extremes, graphs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for tables, reference in zip(threaded, serial):
+            _assert_same_bytes(tables, reference)
+        assert cuts._build_pair_chunks.cache_info().misses == len(set(ns))
+
+    def test_n16_sampled_masks_match_enumeration(self):
+        g = random_int_graph(1616, 16)
+        rnd = random.Random(16)
+        masks = [0, 1, (1 << 16) - 1, (1 << 16) - 2, 0b1010101010101010]
+        masks += [rnd.getrandbits(16) for _ in range(15)]
+        try:
+            mu_plus, mu_minus = all_subset_cut_extremes(g)
+        finally:
+            cuts._build_pair_chunks.cache_clear()  # the n = 16 pairs take ~170 MB
+        for mask in masks:
+            assert (mu_plus[mask], mu_minus[mask]) == cut_range_bruteforce(g, VertexSubset(mask))
 
 
 class TestFindLargeCut:

@@ -18,8 +18,10 @@ from bilingap.envelopes import (
     mccormick_envelopes,
     mcgap_halfpoint,
 )
-from bilingap.errors import CapacityError, CertificateError, InputError
-from bilingap.graph import SignedWeightedGraph, VertexSubset, gamma_weight
+from bilingap import envelopes
+from bilingap.cli import main
+from bilingap.errors import CapacityError, CertificateError, InputError, InvariantViolationError
+from bilingap.graph import SignedWeightedGraph, VertexSubset, gamma_weight, write_instance
 from bilingap.instances import hadamard_instance
 
 from conftest import oracle_hull, oracle_mu, random_int_graph
@@ -343,6 +345,21 @@ class TestGapReport:
             assert key in d
         assert d["ratio_infinite"] is False
         assert isinstance(d["ratio"], float)
+
+    def test_negative_hull_gap_raises(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(envelopes, "hull_envelopes_lp", lambda g, x: (0.25 - 2e-9, 0.25))
+        with pytest.raises(InvariantViolationError):
+            gap_report(TRIANGLE, EvaluationPoint.of(0.3, 0.7, 0.6))
+        path = tmp_path / "tri.json"
+        write_instance(TRIANGLE, path)
+        code = main(["eval", "--instance", str(path), "--point", "0.3,0.7,0.6"])
+        assert code == 3
+        assert "negative gap" in capsys.readouterr().err
+
+    def test_negative_gap_within_tolerance_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(envelopes, "hull_envelopes_lp", lambda g, x: (0.25 - 1e-13, 0.25))
+        rep = gap_report(TRIANGLE, EvaluationPoint.of(0.3, 0.7, 0.6))
+        assert rep.chgap == 0.0
 
     def test_halfpoint_beyond_lp_cap_uses_closed_form(self):
         # n = 18 > LP cap, but the fractional support is small

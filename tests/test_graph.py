@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,25 @@ class TestGraphConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError):
             SignedWeightedGraph(2, ((1, 3, 1.0),))
+
+    @pytest.mark.parametrize(
+        "edge",
+        [(1.7, 2, 1.0), (1, 2.0, 1.0), (True, 2, 1.0), (1, "2", 1.0), (1, 3, True),
+         (1, 3, np.bool_(True)), (1, 3, "1.5"), (1, 3, None), (1, 3, 10**400)],
+    )
+    def test_rejects_coercible_edge_fields(self, edge):
+        with pytest.raises(InputError):
+            SignedWeightedGraph(3, (edge,))
+
+    def test_rejects_bool_vertex_count(self):
+        with pytest.raises(InputError):
+            SignedWeightedGraph(True, ())
+
+    def test_accepts_numpy_integers_and_floats(self):
+        g = SignedWeightedGraph(3, ((np.int64(1), np.int32(3), np.float32(0.5)), (1, 2, 2)))
+        assert g.edges == ((1, 2, 2.0), (1, 3, 0.5))
+        assert all(type(v) is int for i, j, _ in g.edges for v in (i, j))
+        assert all(type(w) is float for _, _, w in g.edges)
 
     def test_vertex_cap(self):
         with pytest.raises(CapacityError):
@@ -244,6 +264,15 @@ class TestSerialization:
             loads_text("1 2 x\n")
         with pytest.raises(InputError):
             loads_text("# nothing\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": 3, "edges": [[1.7, 2, 1.0]]}', '{"n": 3, "edges": [[1, 3, true]]}',
+         '{"n": 3, "edges": [[1, 3, "2"]]}', '{"n": true, "edges": []}'],
+    )
+    def test_json_rejects_coercible_fields(self, text):
+        with pytest.raises(InputError):
+            loads_json(text)
 
     def test_json_rejects_malformed(self):
         with pytest.raises(InputError):
