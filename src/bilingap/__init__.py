@@ -15,6 +15,7 @@ from .cuts import (
     all_subset_cut_extremes,
     all_subset_gamma,
     cut_range_bruteforce,
+    extreme_cuts,
     find_large_cut,
     half_weight_partition,
     max_cut_bruteforce,
@@ -27,6 +28,7 @@ from .envelopes import (
     dual_certificate,
     envelopes_halfpoint,
     evaluate_bilinear,
+    gap_ratio,
     gap_report,
     hull_envelopes_lp,
     mccormick_envelopes,
@@ -100,9 +102,11 @@ __all__ = [
     "dual_certificate",
     "envelopes_halfpoint",
     "evaluate_bilinear",
+    "extreme_cuts",
     "find_large_cut",
     "gamma_abs_weight",
     "gamma_weight",
+    "gap_ratio",
     "gap_report",
     "hadamard_discrepancy_bound",
     "hadamard_instance",

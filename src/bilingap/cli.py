@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .cuts import find_large_cut, max_cut_bruteforce, min_cut_bruteforce
+from .cuts import extreme_cuts, find_large_cut
 from .envelopes import EvaluationPoint, gap_report
 from .errors import CapacityError, InputError, InvariantViolationError
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
@@ -83,7 +83,12 @@ def _parse_signs(spec: str) -> tuple[float, ...]:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=False))
+    """Print obj as strict JSON; a non-finite value is a bug, not an answer."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=False, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantViolationError(f"result is not finite: {exc}") from None
+    print(text)
 
 
 def _cmd_gen(args) -> int:
@@ -118,8 +123,7 @@ def _cmd_cut(args) -> int:
 def _cmd_maxcut(args) -> int:
     g = read_instance(args.instance)
     x = _parse_subset(args.subset, g.n)
-    mu_plus, cut_plus = max_cut_bruteforce(g, x)
-    mu_minus, cut_minus = min_cut_bruteforce(g, x)
+    (mu_plus, cut_plus), (mu_minus, cut_minus) = extreme_cuts(g, x)
     _emit(
         {
             "subset": list(x.members),

@@ -1,11 +1,12 @@
 """Exact cut oracles and a seeded randomized search for provably large cuts.
 
-max/min_cut_bruteforce enumerate every cut of an induced subgraph (meet in
-the middle, vectorized, capped at 26 vertices).  find_large_cut returns a cut
-of the whole graph whose absolute signed weight is at least
-total_abs_weight / (600 sqrt(n)), by sampling subsets of one side of a
-half-weight partition until the sampled aggregate discrepancy is large enough
-and then resolving one of three constructive cases.
+extreme_cuts enumerates every cut of an induced subgraph once (meet in the
+middle, vectorized, capped at 26 vertices) and returns both extremes with
+witnesses; max/min_cut_bruteforce and cut_range_bruteforce are views of it.
+find_large_cut returns a cut of the whole graph whose absolute signed weight
+is at least total_abs_weight / (600 sqrt(n)), by sampling subsets of one side
+of a half-weight partition until the sampled aggregate discrepancy is large
+enough and then resolving one of three constructive cases.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError, InvariantViolationError
-from .graph import Cut, SignedWeightedGraph, VertexSubset, cut_weight, gamma_weight
+from .graph import Cut, SignedWeightedGraph, VertexSubset, _check_subset, cross_weight, cut_weight
 from .rng import SplitMix64
 from .simplex import sign_matrix
 
@@ -35,14 +36,11 @@ def _normalize_side(mask: int, full: int) -> int:
     return min(mask, comp)
 
 
-def _cut_extremes(
-    g: SignedWeightedGraph, x: VertexSubset
-) -> tuple[float, int, float, int]:
-    """(max weight, its witness mask, min weight, its witness mask) over cuts of x.
+def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
+    """(max witness mask, min witness mask) over the cuts of the subgraph induced by x.
 
-    Masks are over positions of the ascending vertex list of x.  Witnesses are
-    the first attaining mask in ascending enumeration order, then normalized.
-    Every value is the exact float cut weight recomputed edge by edge.
+    Masks are over positions of the ascending vertex list of x.  Each is the
+    first attaining mask in ascending enumeration order.
     """
     verts = sorted(x.members)
     k = len(verts)
@@ -51,7 +49,7 @@ def _cut_extremes(
             f"cut enumeration over {k} vertices exceeds the cap of {ENUMERATION_CAP}"
         )
     if k <= 1:
-        return 0.0, 0, 0.0, 0
+        return 0, 0
     w_sub = g.weight_matrix[np.ix_(verts, verts)]
     total = float(np.triu(w_sub, 1).sum())
     h = k // 2
@@ -83,46 +81,47 @@ def _cut_extremes(
         if val < best_min:
             best_min = val
             best_min_mask = ((start + flat_min // (1 << h)) << h) | (flat_min % (1 << h))
-    return best_max, best_max_mask, best_min, best_min_mask
+    return best_max_mask, best_min_mask
 
 
-def _mask_to_subset(mask: int, verts: list[int]) -> VertexSubset:
-    return VertexSubset.from_members(verts[p] for p in range(len(verts)) if mask >> p & 1)
+def extreme_cuts(
+    g: SignedWeightedGraph, x: VertexSubset
+) -> tuple[tuple[float, Cut], tuple[float, Cut]]:
+    """((max weight, its cut), (min weight, its cut)) over the subgraph induced by x.
 
-
-def _extreme_cut(g: SignedWeightedGraph, x: VertexSubset, want_max: bool) -> tuple[float, Cut]:
+    One enumeration pass over every cut including the empty one, so the
+    maximum is >= 0 and the minimum <= 0.  Each witness is the first
+    attaining side in ascending bitmask order, reported as the smaller side
+    of the cut (ties to the smaller bitmask), and each weight is recomputed
+    edge by edge with cut_weight.
+    """
+    _check_subset(g, x)
     verts = sorted(x.members)
     full = (1 << len(verts)) - 1
-    mx, mx_mask, mn, mn_mask = _cut_extremes(g, x)
-    mask = mx_mask if want_max else mn_mask
-    side = _mask_to_subset(_normalize_side(mask, full), verts)
-    weight = cut_weight(g, x, side)
-    return weight, Cut(ground_set=x, side=side, weight=weight)
+    mx_mask, mn_mask = _cut_extremes(g, x)
+
+    def witness(mask: int) -> tuple[float, Cut]:
+        mask = _normalize_side(mask, full)
+        side = VertexSubset.from_members(verts[p] for p in range(len(verts)) if mask >> p & 1)
+        weight = cut_weight(g, x, side)
+        return weight, Cut(ground_set=x, side=side, weight=weight)
+
+    return witness(mx_mask), witness(mn_mask)
 
 
 def max_cut_bruteforce(g: SignedWeightedGraph, x: VertexSubset) -> tuple[float, Cut]:
-    """Exact maximum signed cut weight over the subgraph induced by x.
-
-    Enumerates all cuts including the empty one, so the result is >= 0.  The
-    witness is the first attaining side in ascending bitmask order, reported
-    as the smaller side of the cut (ties to the smaller bitmask).
-    """
-    return _extreme_cut(g, x, want_max=True)
+    """Exact maximum signed cut weight over the subgraph induced by x (>= 0), with witness."""
+    return extreme_cuts(g, x)[0]
 
 
 def min_cut_bruteforce(g: SignedWeightedGraph, x: VertexSubset) -> tuple[float, Cut]:
-    """Exact minimum signed cut weight over the subgraph induced by x (<= 0)."""
-    return _extreme_cut(g, x, want_max=False)
+    """Exact minimum signed cut weight over the subgraph induced by x (<= 0), with witness."""
+    return extreme_cuts(g, x)[1]
 
 
 def cut_range_bruteforce(g: SignedWeightedGraph, x: VertexSubset) -> tuple[float, float]:
     """(max, min) signed cut weight of the subgraph induced by x, one enumeration pass."""
-    verts = sorted(x.members)
-    mx, mx_mask, mn, mn_mask = _cut_extremes(g, x)
-    if len(verts) <= 1:
-        return 0.0, 0.0
-    mx = cut_weight(g, x, _mask_to_subset(mx_mask, verts))
-    mn = cut_weight(g, x, _mask_to_subset(mn_mask, verts))
+    (mx, _), (mn, _) = extreme_cuts(g, x)
     return mx, mn
 
 
@@ -244,8 +243,7 @@ def find_large_cut(
             break
 
     if not stat_met and n <= ENUMERATION_CAP:
-        mx, cut_hi = max_cut_bruteforce(g, g.vertices)
-        mn, cut_lo = min_cut_bruteforce(g, g.vertices)
+        (mx, cut_hi), (mn, cut_lo) = extreme_cuts(g, g.vertices)
         cut = cut_hi if abs(mx) >= abs(mn) else cut_lo
         return CutSearchResult(
             cut=cut,
@@ -271,8 +269,8 @@ def find_large_cut(
             right_verts[q] for q in range(len(right_verts)) if best_cols[q] < 0
         )
     rest = g.vertices.difference(sample.union(chosen))
-    sample_rest = _cross(g, sample, rest)
-    chosen_rest = _cross(g, chosen, rest)
+    sample_rest = cross_weight(g, sample, rest)
+    chosen_rest = cross_weight(g, chosen, rest)
     if side_sign * sample_rest >= -case_threshold - _SLACK:
         u = sample
         case = "case1"
@@ -296,16 +294,6 @@ def find_large_cut(
         trials_used=trials,
         case_taken=case,
     )
-
-
-def _cross(g: SignedWeightedGraph, a: VertexSubset, b: VertexSubset) -> float:
-    am, bm = a.mask, b.mask
-    total = 0.0
-    for i, j, w in g.edges:
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        if (am & bi and bm & bj) or (am & bj and bm & bi):
-            total += w
-    return total
 
 
 _TABLE_CAP = 16  # subset masks and pair indices fit in uint16

@@ -326,13 +326,31 @@ class GapReport:
         }
 
 
+def gap_ratio(mcgap: float, chgap: float) -> tuple[float, float, float, bool]:
+    """(mcgap, chgap, ratio, degenerate): the one rule for the gap ratio mcgap/chgap.
+
+    A gap below -_ZERO is a bug and raises InvariantViolationError; smaller
+    negative rounding is clamped to 0.  The ratio is reported as 1 with the
+    degenerate flag when both gaps are at most _ZERO, and as infinity when
+    only chgap is.
+    """
+    if chgap < -_ZERO or mcgap < -_ZERO:
+        raise InvariantViolationError(f"negative gap computed: mcgap={mcgap}, chgap={chgap}")
+    mcgap = max(mcgap, 0.0)
+    chgap = max(chgap, 0.0)
+    if chgap > _ZERO:
+        return mcgap, chgap, mcgap / chgap, False
+    if mcgap <= _ZERO:
+        return mcgap, chgap, 1.0, True
+    return mcgap, chgap, math.inf, False
+
+
 def gap_report(g: SignedWeightedGraph, x: EvaluationPoint) -> GapReport:
     """Full envelope/gap report at x.
 
     Half points use the cut-based closed forms (exact enumeration of the
     fractional support, capped at 26 vertices); other points solve the hull LP
-    (capped at n <= 16).  The ratio is mcgap/chgap, reported as 1 with the
-    degenerate flag when both gaps vanish and as infinity if only chgap does.
+    (capped at n <= 16).  Gaps and ratio follow gap_ratio.
     """
     _check_point(g, x)
     mcu, mcl = mccormick_envelopes(g, x)
@@ -345,18 +363,7 @@ def gap_report(g: SignedWeightedGraph, x: EvaluationPoint) -> GapReport:
         cav, vex = hull_envelopes_lp(g, x)
         chgap = cav - vex
         method = "lp"
-    if chgap < -_ZERO or mcgap < -_ZERO:
-        raise InvariantViolationError(f"negative gap computed: mcgap={mcgap}, chgap={chgap}")
-    mcgap = max(mcgap, 0.0)
-    chgap = max(chgap, 0.0)
-    degenerate = False
-    if chgap > _ZERO:
-        ratio = mcgap / chgap
-    elif mcgap <= _ZERO:
-        ratio = 1.0
-        degenerate = True
-    else:
-        ratio = math.inf
+    mcgap, chgap, ratio, degenerate = gap_ratio(mcgap, chgap)
     return GapReport(
         point=x,
         mcu=mcu,

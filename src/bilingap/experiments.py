@@ -3,7 +3,7 @@
 Five kinds are supported:
 
 * thm1_montecarlo  - gap ratio of random +/-1 complete graphs at the all-half
-                     point against the sqrt(n)/4 threshold,
+                     point against the sqrt(n)/4 threshold, at one n,
 * ratio_sweep      - the same measurement swept over a range of n,
 * hadamard_ratio   - exact gap ratio and discrepancy bound of the
                      bit-inner-product instances over a range of n,
@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .cuts import cut_range_bruteforce, find_large_cut
-from .envelopes import EvaluationPoint, mcgap_halfpoint
+from .cuts import all_subset_cut_extremes, all_subset_gamma, cut_range_bruteforce, find_large_cut
+from .envelopes import EvaluationPoint, gap_ratio, mcgap_halfpoint
 from .errors import CapacityError, InputError
 from .graph import SignedWeightedGraph
-from .cuts import all_subset_cut_extremes, all_subset_gamma
 from .hullcheck import check_hull_exact
 from .instances import (
     hadamard_discrepancy_bound,
@@ -112,6 +111,10 @@ class ExperimentConfig:
         cap = _KIND_N_CAPS[self.kind]
         if self.n_max > cap:
             raise CapacityError(f"kind {self.kind!r} supports n <= {cap}, got {self.n_max}")
+        if self.kind == "thm1_montecarlo" and self.n_min != self.n_max:
+            raise InputError(
+                f"thm1_montecarlo runs at one n (n_min = n_max), got {self.n_min}..{self.n_max}"
+            )
         if self.num_instances < 1:
             raise InputError(f"num_instances must be >= 1, got {self.num_instances}")
         if self.output_format not in ("csv", "json"):
@@ -245,15 +248,16 @@ def _ordered_map(worker: Callable, args: Sequence, threads: int) -> Iterable:
             yield fut.result()
 
 
-def _gap_measurement(g: SignedWeightedGraph, seed: int, threshold: float) -> GapRecord:
+def _gap_measurement(
+    g: SignedWeightedGraph, seed: int, threshold: float
+) -> tuple[GapRecord, float, float]:
+    """Gap record of g at the all-half point, plus the (max, min) cut weights behind chgap."""
     start = time.perf_counter()
-    x = EvaluationPoint.all_half(g.n)
     mu_plus, mu_minus = cut_range_bruteforce(g, g.vertices)
-    mcgap = mcgap_halfpoint(g, x)
-    chgap = 0.5 * (mu_plus - mu_minus)
-    ratio = mcgap / chgap if chgap > 0 else (1.0 if mcgap == 0 else math.inf)
-    ms = round((time.perf_counter() - start) * 1000.0, 3)
-    return GapRecord(
+    mcgap, chgap, ratio, _ = gap_ratio(
+        mcgap_halfpoint(g, EvaluationPoint.all_half(g.n)), 0.5 * (mu_plus - mu_minus)
+    )
+    rec = GapRecord(
         instance_seed=seed,
         n=g.n,
         mcgap=mcgap,
@@ -261,103 +265,90 @@ def _gap_measurement(g: SignedWeightedGraph, seed: int, threshold: float) -> Gap
         ratio=ratio,
         threshold=threshold,
         threshold_met=ratio >= threshold,
-        wall_time_ms=ms,
+        wall_time_ms=round((time.perf_counter() - start) * 1000.0, 3),
     )
+    return rec, mu_plus, mu_minus
 
 
-def run_thm1_montecarlo(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
-    """Gap ratio of random +/-1 complete graphs on n = n_max vertices at the all-half point.
+def _run_gap_sweep(
+    cfg: ExperimentConfig, summarize: Callable[[list[GapRecord]], dict]
+) -> tuple[list[GapRecord], dict]:
+    """Gap records of random +/-1 complete graphs for n = n_min..n_max, num_instances seeds each.
 
-    One record per seed seed_base..seed_base+num_instances-1, threshold sqrt(n)/4.
+    Threshold sqrt(n)/4; records stream to cfg's output, then summarize(records).
     """
-    n = cfg.n_max
-    if n < 2:
-        raise InputError(f"thm1_montecarlo needs n >= 2, got {n}")
-    threshold = math.sqrt(n) / 4.0
-    seeds = [cfg.seed_base + t for t in range(cfg.num_instances)]
-    writer = RecordWriter(cfg.output_path, cfg.output_format, GAP_CSV_FIELDS, cfg)
-    records = []
-    for rec in _ordered_map(
-        lambda s: _gap_measurement(random_pm1_complete(n, s), s, threshold),
-        seeds,
-        cfg.threads,
-    ):
-        records.append(rec)
-        writer.write(rec.to_dict())
-    ratios = [r.ratio for r in records]
-    summary = {
-        "kind": cfg.kind,
-        "n": n,
-        "num_instances": len(records),
-        "threshold": threshold,
-        "fraction_met": sum(r.threshold_met for r in records) / len(records),
-        "min_ratio": min(ratios),
-        "max_ratio": max(ratios),
-    }
-    writer.finish(summary)
-    return records, summary
-
-
-def run_ratio_sweep(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
-    """thm1_montecarlo measurement swept over n = n_min..n_max, num_instances seeds each."""
     if cfg.n_min < 2:
-        raise InputError(f"ratio_sweep needs n >= 2, got {cfg.n_min}")
+        raise InputError(f"{cfg.kind} needs n >= 2, got {cfg.n_min}")
     jobs = [
         (n, cfg.seed_base + t)
         for n in range(cfg.n_min, cfg.n_max + 1)
         for t in range(cfg.num_instances)
     ]
+
+    def worker(job):
+        n, seed = job
+        return _gap_measurement(random_pm1_complete(n, seed), seed, math.sqrt(n) / 4.0)[0]
+
     writer = RecordWriter(cfg.output_path, cfg.output_format, GAP_CSV_FIELDS, cfg)
     records = []
-    for rec in _ordered_map(
-        lambda job: _gap_measurement(
-            random_pm1_complete(job[0], job[1]), job[1], math.sqrt(job[0]) / 4.0
-        ),
-        jobs,
-        cfg.threads,
-    ):
+    for rec in _ordered_map(worker, jobs, cfg.threads):
         records.append(rec)
         writer.write(rec.to_dict())
-    per_n = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        group = [r for r in records if r.n == n]
-        per_n.append(
-            {
-                "n": n,
-                "mean_ratio": sum(r.ratio for r in group) / len(group),
-                "min_ratio": min(r.ratio for r in group),
-                "fraction_met": sum(r.threshold_met for r in group) / len(group),
-            }
-        )
-    summary = {"kind": cfg.kind, "num_records": len(records), "per_n": per_n}
+    summary = summarize(records)
     writer.finish(summary)
     return records, summary
 
 
-def run_hadamard_ratio(
-    ns: Sequence[int] | ExperimentConfig,
-) -> tuple[list[GapRecord], dict]:
-    """Exact gap ratio and discrepancy check of bit-inner-product instances.
+def run_thm1_montecarlo(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
+    """Gap ratio of random +/-1 complete graphs on n = n_min = n_max vertices, all-half point.
 
-    Accepts a config (n_min..n_max) or an explicit list of sizes.  Records
-    use n as the instance_seed column since the family is deterministic.
-    Thresholds are sqrt(n)/3; the summary also reports whether the exact
-    extreme cut weights respect the n^{3/2}/sqrt(2) discrepancy bound.
+    One record per seed seed_base..seed_base+num_instances-1, threshold sqrt(n)/4.
     """
-    if isinstance(ns, ExperimentConfig):
-        cfg = ns
-        sizes = list(range(max(2, cfg.n_min), cfg.n_max + 1))
-    else:
-        cfg = ExperimentConfig(
-            kind="hadamard_ratio", n_min=min(ns), n_max=max(ns), num_instances=1
-        )
-        sizes = [int(n) for n in ns]
-        if any(n < 2 for n in sizes):
-            raise InputError(f"hadamard sizes must be >= 2, got {sizes}")
-        if max(sizes) > _KIND_N_CAPS["hadamard_ratio"]:
-            raise CapacityError(
-                f"hadamard_ratio supports n <= {_KIND_N_CAPS['hadamard_ratio']}"
+
+    def summarize(records: list[GapRecord]) -> dict:
+        ratios = [r.ratio for r in records]
+        return {
+            "kind": cfg.kind,
+            "n": cfg.n_max,
+            "num_instances": len(records),
+            "threshold": math.sqrt(cfg.n_max) / 4.0,
+            "fraction_met": sum(r.threshold_met for r in records) / len(records),
+            "min_ratio": min(ratios),
+            "max_ratio": max(ratios),
+        }
+
+    return _run_gap_sweep(cfg, summarize)
+
+
+def run_ratio_sweep(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
+    """thm1_montecarlo measurement swept over n = n_min..n_max, num_instances seeds each."""
+
+    def summarize(records: list[GapRecord]) -> dict:
+        per_n = []
+        for n in range(cfg.n_min, cfg.n_max + 1):
+            group = [r for r in records if r.n == n]
+            per_n.append(
+                {
+                    "n": n,
+                    "mean_ratio": sum(r.ratio for r in group) / len(group),
+                    "min_ratio": min(r.ratio for r in group),
+                    "fraction_met": sum(r.threshold_met for r in group) / len(group),
+                }
             )
+        return {"kind": cfg.kind, "num_records": len(records), "per_n": per_n}
+
+    return _run_gap_sweep(cfg, summarize)
+
+
+def run_hadamard_ratio(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
+    """Exact gap ratio and discrepancy check of bit-inner-product instances, n = n_min..n_max.
+
+    Sizes below 2 are skipped.  Records use n as the instance_seed column
+    since the family is deterministic.  Thresholds are sqrt(n)/3; the summary
+    also reports whether the exact extreme cut weights respect the
+    n^{3/2}/sqrt(2) discrepancy bound.
+    """
+    sizes = list(range(max(2, cfg.n_min), cfg.n_max + 1))
     writer = RecordWriter(cfg.output_path, cfg.output_format, GAP_CSV_FIELDS, cfg)
     records = []
     rows = []
@@ -376,35 +367,17 @@ def run_hadamard_ratio(
 
 
 def _hadamard_one(n: int) -> tuple[GapRecord, dict]:
-    start = time.perf_counter()
-    g = hadamard_instance(n)
-    x = EvaluationPoint.all_half(n)
-    mu_plus, mu_minus = cut_range_bruteforce(g, g.vertices)
-    mcgap = mcgap_halfpoint(g, x)
-    chgap = 0.5 * (mu_plus - mu_minus)
-    ratio = mcgap / chgap if chgap > 0 else math.inf
-    threshold = math.sqrt(n) / 3.0
+    rec, mu_plus, mu_minus = _gap_measurement(hadamard_instance(n), n, math.sqrt(n) / 3.0)
     bound = hadamard_discrepancy_bound(n)
-    ms = round((time.perf_counter() - start) * 1000.0, 3)
-    rec = GapRecord(
-        instance_seed=n,
-        n=n,
-        mcgap=mcgap,
-        chgap=chgap,
-        ratio=ratio,
-        threshold=threshold,
-        threshold_met=ratio >= threshold,
-        wall_time_ms=ms,
-    )
     row = {
         "n": n,
         "mu_plus": mu_plus,
         "mu_minus": mu_minus,
         "discrepancy_bound": bound,
         "discrepancy_ok": mu_plus <= bound + 1e-9 and -mu_minus <= bound + 1e-9,
-        "ratio": ratio,
-        "threshold": threshold,
-        "threshold_met": ratio >= threshold,
+        "ratio": rec.ratio,
+        "threshold": rec.threshold,
+        "threshold_met": rec.threshold_met,
     }
     return rec, row
 

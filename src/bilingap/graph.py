@@ -20,6 +20,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 
 MAX_VERTICES = 63
+MAX_TOTAL_ABS_WEIGHT = 1e300  # instance files above this would overflow cut sums to inf
 
 
 @dataclass(frozen=True, order=True)
@@ -343,7 +344,10 @@ def write_instance(g: SignedWeightedGraph, path: str | Path, fmt: str | None = N
 
 
 def read_instance(path: str | Path, fmt: str | None = None) -> SignedWeightedGraph:
-    """Read an instance file, sniffing JSON vs text from extension then content."""
+    """Read an instance file, sniffing JSON vs text from extension then content.
+
+    Rejects instances whose total absolute weight exceeds MAX_TOTAL_ABS_WEIGHT.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -352,7 +356,14 @@ def read_instance(path: str | Path, fmt: str | None = None) -> SignedWeightedGra
     if fmt is None:
         fmt = "json" if path.suffix == ".json" or text.lstrip().startswith("{") else "text"
     if fmt == "json":
-        return loads_json(text)
-    if fmt == "text":
-        return loads_text(text)
-    raise InputError(f"unknown instance format {fmt!r} (expected 'json' or 'text')")
+        g = loads_json(text)
+    elif fmt == "text":
+        g = loads_text(text)
+    else:
+        raise InputError(f"unknown instance format {fmt!r} (expected 'json' or 'text')")
+    if not g.total_abs_weight <= MAX_TOTAL_ABS_WEIGHT:
+        raise InputError(
+            f"instance {path}: total absolute weight {g.total_abs_weight!r} "
+            f"exceeds {MAX_TOTAL_ABS_WEIGHT!r}"
+        )
+    return g

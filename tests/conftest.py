@@ -99,3 +99,19 @@ def tmp_instance_file(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def enumeration_calls(monkeypatch):
+    """Ground sets passed to the cut-enumeration kernel during the test, in call order."""
+    from bilingap import cuts
+
+    calls = []
+    kernel = cuts._cut_extremes
+
+    def counted(g, x):
+        calls.append(x)
+        return kernel(g, x)
+
+    monkeypatch.setattr(cuts, "_cut_extremes", counted)
+    return calls

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from bilingap import cli, cuts
 from bilingap.cli import THREADS_ENV_VAR, main
-from bilingap.graph import SignedWeightedGraph, read_instance, write_instance
+from bilingap.graph import Cut, SignedWeightedGraph, VertexSubset, read_instance, write_instance
 
 TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
 
@@ -162,6 +164,13 @@ class TestMaxcut:
         assert res["subset"] == [1, 2]
         assert res["mu_plus"] == 1.0
 
+    def test_one_enumeration_pass(self, capsys, tmp_path, enumeration_calls):
+        inst = write_triangle(tmp_path)
+        code, out_text, _ = run_cli(capsys, "maxcut", "--instance", inst)
+        assert code == 0
+        assert json.loads(out_text)["mu_plus"] == 2.0
+        assert enumeration_calls == [TRIANGLE.vertices]
+
     def test_capacity_exit_code(self, capsys, tmp_path):
         path = str(tmp_path / "big.json")
         n = 27
@@ -317,6 +326,44 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["eval", "cut", "maxcut", "hullcheck"])
+    @pytest.mark.parametrize("suffix", [".json", ".txt"])
+    def test_overflowing_instance_exit_1(self, capsys, tmp_path, command, suffix):
+        path = str(tmp_path / f"huge{suffix}")
+        write_instance(SignedWeightedGraph(3, ((1, 2, 1e308), (1, 3, 1e308), (2, 3, 1e308))), path)
+        code, out, err = run_cli(capsys, command, "--instance", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "total absolute weight" in err
+
+    def test_instance_below_weight_cap_gives_finite_json(self, capsys, tmp_path):
+        path = str(tmp_path / "big.json")
+        w = 0.3e300
+        write_instance(SignedWeightedGraph(3, ((1, 2, w), (1, 3, w), (2, 3, -w))), path)
+        for argv in (["eval"], ["eval", "--point", "0.3,0.6,0.9"], ["cut"], ["maxcut"]):
+            code, out, _ = run_cli(capsys, *argv, "--instance", path)
+            assert code == 0
+            json.loads(out, parse_constant=lambda c: pytest.fail(f"non-finite {c} in {argv}"))
+
+    def test_non_finite_result_exit_3(self, capsys, tmp_path, monkeypatch):
+        def nan_search(g, rng_seed, trial_budget):
+            cut = Cut(ground_set=g.vertices, side=VertexSubset(), weight=math.nan)
+            return cuts.CutSearchResult(cut, math.inf, False, 1, "case1")
+
+        monkeypatch.setattr(cli, "find_large_cut", nan_search)
+        code, out, err = run_cli(capsys, "cut", "--instance", write_triangle(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+
+    def test_thm1_n_range_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "experiment", "thm1_montecarlo", "--n-min", "4", "--n-max", "6"
+        )
+        assert code == 1
+        assert out == ""
+        assert "one n" in err
 
     def test_malformed_instance_json(self, capsys, tmp_path):
         path = str(tmp_path / "bad.json")

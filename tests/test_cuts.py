@@ -16,6 +16,7 @@ from bilingap.cuts import (
     all_subset_cut_extremes,
     all_subset_gamma,
     cut_range_bruteforce,
+    extreme_cuts,
     find_large_cut,
     half_weight_partition,
     max_cut_bruteforce,
@@ -68,6 +69,31 @@ class TestBruteforceExamples:
         g = SignedWeightedGraph(ENUMERATION_CAP + 1, ((1, 2, 1.0),))
         with pytest.raises(CapacityError):
             max_cut_bruteforce(g, g.vertices)
+
+
+class TestExtremeCuts:
+    def test_views_agree_with_one_pass(self):
+        g = random_int_graph(404, 9)
+        for x in (g.vertices, VertexSubset.from_members([1, 3, 4, 6, 8]), VertexSubset.of(2)):
+            hi, lo = extreme_cuts(g, x)
+            assert max_cut_bruteforce(g, x) == hi
+            assert min_cut_bruteforce(g, x) == lo
+            assert cut_range_bruteforce(g, x) == (hi[0], lo[0])
+
+    @pytest.mark.parametrize(
+        "fn", [extreme_cuts, max_cut_bruteforce, min_cut_bruteforce, cut_range_bruteforce]
+    )
+    @pytest.mark.parametrize("members", [(5,), (4, 5), (1, 4)])
+    def test_out_of_range_subset_rejected(self, fn, members):
+        with pytest.raises(InputError, match="not contained"):
+            fn(TRIANGLE, VertexSubset.of(*members))
+
+    def test_brute_fallback_enumerates_once(self, enumeration_calls):
+        g = random_pm1_complete(3, seed=8)
+        res = find_large_cut(g, rng_seed=8, trial_budget=1)
+        assert res.case_taken == "brute_fallback"
+        assert res.cut.weight == -2.0
+        assert enumeration_calls == [g.vertices]
 
 
 @st.composite

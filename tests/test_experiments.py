@@ -106,6 +106,21 @@ class TestThm1MonteCarlo:
         assert summary["min_ratio"] <= summary["max_ratio"]
 
 
+    def test_records_equal_ratio_sweep_at_one_n(self):
+        kw = dict(n_min=7, n_max=7, num_instances=6, seed_base=40)
+        thm1, _ = run_thm1_montecarlo(ExperimentConfig(kind="thm1_montecarlo", **kw))
+        sweep, _ = run_ratio_sweep(ExperimentConfig(kind="ratio_sweep", **kw))
+
+        def without_time(records):
+            return [{k: v for k, v in r.to_dict().items() if k != "wall_time_ms"} for r in records]
+
+        assert without_time(thm1) == without_time(sweep)
+
+    def test_n_range_rejected(self):
+        with pytest.raises(InputError, match="one n"):
+            ExperimentConfig(kind="thm1_montecarlo", n_min=4, n_max=6)
+
+
 class TestRatioSweep:
     def test_record_ordering_and_per_n_summary(self):
         cfg = ExperimentConfig(kind="ratio_sweep", n_min=2, n_max=4, num_instances=3)
@@ -118,21 +133,26 @@ class TestRatioSweep:
             assert row["min_ratio"] <= row["mean_ratio"]
 
 
+def hadamard_config(n_min: int, n_max: int) -> ExperimentConfig:
+    return ExperimentConfig(kind="hadamard_ratio", n_min=n_min, n_max=n_max)
+
+
 class TestHadamardRatio:
-    def test_list_and_config_apis_agree(self):
-        recs_a, sum_a = run_hadamard_ratio([4, 8])
-        cfg = ExperimentConfig(kind="hadamard_ratio", n_min=4, n_max=8)
-        recs_b, sum_b = run_hadamard_ratio(cfg)
+    def test_single_size_and_range_configs_agree(self):
+        singles = [run_hadamard_ratio(hadamard_config(n, n)) for n in (4, 8)]
+        recs_a = [rec for recs, _ in singles for rec in recs]
+        recs_b, sum_b = run_hadamard_ratio(hadamard_config(4, 8))
         rows_b = {row["n"]: row for row in sum_b["rows"]}
-        for row in sum_a["rows"]:
+        for _, sum_a in singles:
+            (row,) = sum_a["rows"]
             assert rows_b[row["n"]]["mu_plus"] == row["mu_plus"]
             assert rows_b[row["n"]]["mu_minus"] == row["mu_minus"]
-        assert sum_a["all_within_discrepancy_bound"]
+            assert sum_a["all_within_discrepancy_bound"]
         assert sum_b["all_within_discrepancy_bound"]
         assert [r.n for r in recs_a] == [4, 8]
 
     def test_frozen_n18_values(self):
-        records, summary = run_hadamard_ratio([18])
+        records, summary = run_hadamard_ratio(hadamard_config(18, 18))
         row = summary["rows"][0]
         assert row["mu_plus"] == 32.0
         assert row["mu_minus"] == -9.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bilingap.errors import CapacityError, InputError
 from bilingap.graph import (
+    MAX_TOTAL_ABS_WEIGHT,
     Cut,
     SignedWeightedGraph,
     VertexSubset,
@@ -303,6 +304,18 @@ class TestSerialization:
         g = self._sample()
         path = tmp_path / "noext"
         write_instance(g, path, fmt="json")
+        assert read_instance(path).edges == g.edges
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_read_rejects_total_weight_above_cap(self, tmp_path, fmt):
+        # the constructor keeps accepting it; only instance files are capped
+        g = SignedWeightedGraph(3, ((1, 2, 1e308), (1, 3, -1e308), (2, 3, 1e308)))
+        path = tmp_path / "huge"
+        write_instance(g, path, fmt=fmt)
+        with pytest.raises(InputError, match="total absolute weight"):
+            read_instance(path)
+        g = SignedWeightedGraph(2, ((1, 2, MAX_TOTAL_ABS_WEIGHT),))
+        write_instance(g, path, fmt=fmt)
         assert read_instance(path).edges == g.edges
 
     def test_read_missing_file(self, tmp_path):
