@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import MISSING, fields
 
 from .cuts import extreme_cuts, find_large_cut
 from .envelopes import EvaluationPoint, gap_report
@@ -20,8 +20,6 @@ from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from .graph import SignedWeightedGraph, VertexSubset, read_instance, write_instance
 from .hullcheck import check_hull_exact
 from .instances import INSTANCE_FAMILIES, InstanceSpec
-
-THREADS_ENV_VAR = "BILIN_GAP_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,57 +141,40 @@ def _cmd_hullcheck(args) -> int:
     return 0
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise InputError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-    return value
+# experiment flag -> the config fields it sets, applied in this order (--n before --n-min/--n-max)
+_EXPERIMENT_FLAGS = {
+    "kind": ("kind",),
+    "n": ("n_min", "n_max"),
+    "n_min": ("n_min",),
+    "n_max": ("n_max",),
+    "num_instances": ("num_instances",),
+    "seed_base": ("seed_base",),
+    "budget": ("trial_budget",),
+    "out": ("output_path",),
+    "format": ("output_format",),
+    "threads": ("threads",),
+}
 
 
 def _cmd_experiment(args) -> int:
+    """Config fields come from the flags, then the config file, then ExperimentConfig's defaults."""
     base: dict = {}
     if args.config is not None:
         with open(args.config) as fh:
             base = json.load(fh)
         if not isinstance(base, dict):
             raise InputError(f"config file {args.config} must hold a JSON object")
-    if args.kind is not None:
-        base["kind"] = args.kind
-    if args.n is not None:
-        base["n_min"] = args.n
-        base["n_max"] = args.n
-    if args.n_min is not None:
-        base["n_min"] = args.n_min
-    if args.n_max is not None:
-        base["n_max"] = args.n_max
-    if args.num_instances is not None:
-        base["num_instances"] = args.num_instances
-    if args.seed_base is not None:
-        base["seed_base"] = args.seed_base
-    if args.budget is not None:
-        base["trial_budget"] = args.budget
-    if args.out is not None:
-        base["output_path"] = args.out
-    if args.format is not None:
-        base["output_format"] = args.format
-    base["threads"] = args.threads if args.threads is not None else _default_threads()
-    if "kind" not in base:
-        raise InputError("experiment kind required (positional argument or config file)")
-    for key in ("n_min", "n_max"):
-        if key not in base:
-            raise InputError(f"experiment needs {key} (--n or --n-min/--n-max or config)")
-    allowed = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(base) - allowed
+    for flag, keys in _EXPERIMENT_FLAGS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            base.update(dict.fromkeys(keys, value))
+    unknown = set(base) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    cfg = ExperimentConfig(**base)
-    _, summary = run_experiment(cfg)
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in base:
+            raise InputError(f"experiment needs {f.name} (an argument or the config file)")
+    _, summary = run_experiment(ExperimentConfig(**base))
     _emit(summary)
     return 0
 
@@ -242,7 +223,7 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=None, help="cut-finder trial budget")
     p.add_argument("--out", default=None, help="record output file")
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--threads", type=int, default=None, help=f"worker threads (default ${THREADS_ENV_VAR} or 1)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

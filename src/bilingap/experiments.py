@@ -23,7 +23,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -41,52 +41,8 @@ from .instances import (
 )
 from .rng import SplitMix64
 
-EXPERIMENT_KINDS = (
-    "thm1_montecarlo",
-    "hadamard_ratio",
-    "cutfinder_stress",
-    "hull_census",
-    "ratio_sweep",
-)
-
-_KIND_N_CAPS = {
-    "thm1_montecarlo": 24,
-    "hadamard_ratio": 24,
-    "ratio_sweep": 24,
-    "cutfinder_stress": 50,
-    "hull_census": 10,
-}
-
-GAP_CSV_FIELDS = (
-    "instance_seed",
-    "n",
-    "mcgap",
-    "chgap",
-    "ratio",
-    "threshold",
-    "threshold_met",
-    "wall_time_ms",
-)
-CUT_CSV_FIELDS = (
-    "instance_seed",
-    "n",
-    "family",
-    "weight",
-    "bound",
-    "bound_ratio",
-    "meets_guarantee",
-    "case",
-    "trials_used",
-    "wall_time_ms",
-)
-CENSUS_CSV_FIELDS = (
-    "instance_id",
-    "n",
-    "exact",
-    "numeric_exact",
-    "agree",
-    "wall_time_ms",
-)
+# annotation of an ExperimentConfig field -> the types its value may have
+_FIELD_TYPES = {"int": int, "str": str, "str | None": (str, type(None))}
 
 
 @dataclass(frozen=True)
@@ -104,11 +60,15 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise InputError(f"config field {f.name} must be {f.type}, got {value!r}")
+        if self.kind not in _KINDS:
             raise InputError(f"unknown experiment kind {self.kind!r}")
-        if not 1 <= self.n_min <= self.n_max:
-            raise InputError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
-        cap = _KIND_N_CAPS[self.kind]
+        if not 2 <= self.n_min <= self.n_max:
+            raise InputError(f"need 2 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
+        cap = _KINDS[self.kind][0]
         if self.n_max > cap:
             raise CapacityError(f"kind {self.kind!r} supports n <= {cap}, got {self.n_max}")
         if self.kind == "thm1_montecarlo" and self.n_min != self.n_max:
@@ -125,19 +85,24 @@ class ExperimentConfig:
             raise InputError(f"trial_budget must be >= 1, got {self.trial_budget}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "num_instances": self.num_instances,
-            "seed_base": self.seed_base,
-            "trial_budget": self.trial_budget,
-            "output_format": self.output_format,
-            "threads": self.threads,
-        }
+        """Every field but output_path, in field order: the config line of JSON output."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_path"}
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """Frozen dataclass whose field order is its schema: cls.FIELDS and the to_dict key order."""
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+
+    def to_dict(self) -> dict:
+        return {f: getattr(self, f) for f in names}
+
+    cls.FIELDS = names
+    cls.to_dict = to_dict
+    return cls
+
+
+@_record
 class GapRecord:
     """One gap-ratio measurement; rows of the fixed gap CSV schema."""
 
@@ -150,11 +115,8 @@ class GapRecord:
     threshold_met: bool
     wall_time_ms: float
 
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in GAP_CSV_FIELDS}
 
-
-@dataclass(frozen=True)
+@_record
 class CutStressRecord:
     instance_seed: int
     n: int
@@ -167,11 +129,8 @@ class CutStressRecord:
     trials_used: int
     wall_time_ms: float
 
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in CUT_CSV_FIELDS}
 
-
-@dataclass(frozen=True)
+@_record
 class HullCensusRecord:
     instance_id: str
     n: int
@@ -180,8 +139,10 @@ class HullCensusRecord:
     agree: bool
     wall_time_ms: float
 
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in CENSUS_CSV_FIELDS}
+
+GAP_CSV_FIELDS = GapRecord.FIELDS
+CUT_CSV_FIELDS = CutStressRecord.FIELDS
+CENSUS_CSV_FIELDS = HullCensusRecord.FIELDS
 
 
 def _csv_cell(value) -> str:
@@ -248,6 +209,28 @@ def _ordered_map(worker: Callable, args: Sequence, threads: int) -> Iterable:
             yield fut.result()
 
 
+def _stream(
+    cfg: ExperimentConfig,
+    record_type: type,
+    worker: Callable,
+    jobs: Sequence,
+    summarize: Callable[[list], dict],
+) -> tuple[list, dict]:
+    """The one record loop: worker(job) per job on cfg.threads threads, in job order.
+
+    Each record streams to cfg's output as it arrives; the summary,
+    summarize(records), closes the output.  Returns (records, summary).
+    """
+    writer = RecordWriter(cfg.output_path, cfg.output_format, record_type.FIELDS, cfg)
+    records = []
+    for rec in _ordered_map(worker, jobs, cfg.threads):
+        records.append(rec)
+        writer.write(rec.to_dict())
+    summary = summarize(records)
+    writer.finish(summary)
+    return records, summary
+
+
 def _gap_measurement(
     g: SignedWeightedGraph, seed: int, threshold: float
 ) -> tuple[GapRecord, float, float]:
@@ -275,10 +258,8 @@ def _run_gap_sweep(
 ) -> tuple[list[GapRecord], dict]:
     """Gap records of random +/-1 complete graphs for n = n_min..n_max, num_instances seeds each.
 
-    Threshold sqrt(n)/4; records stream to cfg's output, then summarize(records).
+    Threshold sqrt(n)/4.
     """
-    if cfg.n_min < 2:
-        raise InputError(f"{cfg.kind} needs n >= 2, got {cfg.n_min}")
     jobs = [
         (n, cfg.seed_base + t)
         for n in range(cfg.n_min, cfg.n_max + 1)
@@ -289,14 +270,7 @@ def _run_gap_sweep(
         n, seed = job
         return _gap_measurement(random_pm1_complete(n, seed), seed, math.sqrt(n) / 4.0)[0]
 
-    writer = RecordWriter(cfg.output_path, cfg.output_format, GAP_CSV_FIELDS, cfg)
-    records = []
-    for rec in _ordered_map(worker, jobs, cfg.threads):
-        records.append(rec)
-        writer.write(rec.to_dict())
-    summary = summarize(records)
-    writer.finish(summary)
-    return records, summary
+    return _stream(cfg, GapRecord, worker, jobs, summarize)
 
 
 def run_thm1_montecarlo(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
@@ -343,43 +317,39 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
 def run_hadamard_ratio(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     """Exact gap ratio and discrepancy check of bit-inner-product instances, n = n_min..n_max.
 
-    Sizes below 2 are skipped.  Records use n as the instance_seed column
-    since the family is deterministic.  Thresholds are sqrt(n)/3; the summary
-    also reports whether the exact extreme cut weights respect the
-    n^{3/2}/sqrt(2) discrepancy bound.
+    Records use n as the instance_seed column since the family is
+    deterministic.  Thresholds are sqrt(n)/3; the summary also reports
+    whether the exact extreme cut weights respect the n^{3/2}/sqrt(2)
+    discrepancy bound.
     """
-    sizes = list(range(max(2, cfg.n_min), cfg.n_max + 1))
-    writer = RecordWriter(cfg.output_path, cfg.output_format, GAP_CSV_FIELDS, cfg)
-    records = []
-    rows = []
-    for rec, row in _ordered_map(_hadamard_one, sizes, cfg.threads):
-        records.append(rec)
-        rows.append(row)
-        writer.write(rec.to_dict())
-    summary = {
-        "kind": "hadamard_ratio",
-        "sizes": sizes,
-        "all_within_discrepancy_bound": all(r["discrepancy_ok"] for r in rows),
-        "rows": rows,
-    }
-    writer.finish(summary)
-    return records, summary
+    sizes = list(range(cfg.n_min, cfg.n_max + 1))
+    rows = {}  # n -> discrepancy row; each worker writes only its own n
 
+    def worker(n):
+        rec, mu_plus, mu_minus = _gap_measurement(hadamard_instance(n), n, math.sqrt(n) / 3.0)
+        bound = hadamard_discrepancy_bound(n)
+        rows[n] = {
+            "n": n,
+            "mu_plus": mu_plus,
+            "mu_minus": mu_minus,
+            "discrepancy_bound": bound,
+            "discrepancy_ok": mu_plus <= bound + 1e-9 and -mu_minus <= bound + 1e-9,
+            "ratio": rec.ratio,
+            "threshold": rec.threshold,
+            "threshold_met": rec.threshold_met,
+        }
+        return rec
 
-def _hadamard_one(n: int) -> tuple[GapRecord, dict]:
-    rec, mu_plus, mu_minus = _gap_measurement(hadamard_instance(n), n, math.sqrt(n) / 3.0)
-    bound = hadamard_discrepancy_bound(n)
-    row = {
-        "n": n,
-        "mu_plus": mu_plus,
-        "mu_minus": mu_minus,
-        "discrepancy_bound": bound,
-        "discrepancy_ok": mu_plus <= bound + 1e-9 and -mu_minus <= bound + 1e-9,
-        "ratio": rec.ratio,
-        "threshold": rec.threshold,
-        "threshold_met": rec.threshold_met,
-    }
-    return rec, row
+    def summarize(records: list[GapRecord]) -> dict:
+        ordered = [rows[n] for n in sizes]
+        return {
+            "kind": cfg.kind,
+            "sizes": sizes,
+            "all_within_discrepancy_bound": all(r["discrepancy_ok"] for r in ordered),
+            "rows": ordered,
+        }
+
+    return _stream(cfg, GapRecord, worker, sizes, summarize)
 
 
 def uniform_real_complete(n: int, seed: int) -> SignedWeightedGraph:
@@ -407,16 +377,11 @@ def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], 
     pm1/real alternating.  The bound_ratio column reports how far above the
     guaranteed total/(600 sqrt(n)) bound the found cut landed.
     """
-    if cfg.n_min < 2:
-        raise InputError(f"cutfinder_stress needs n >= 2, got {cfg.n_min}")
     span = cfg.n_max - cfg.n_min + 1
-    jobs = []
-    for t in range(cfg.num_instances):
-        seed = cfg.seed_base + t
-        n = cfg.n_min + (t % span)
-        family = "pm1" if t % 2 == 0 else "real"
-        jobs.append((seed, n, family))
-    writer = RecordWriter(cfg.output_path, cfg.output_format, CUT_CSV_FIELDS, cfg)
+    jobs = [
+        (cfg.seed_base + t, cfg.n_min + (t % span), "pm1" if t % 2 == 0 else "real")
+        for t in range(cfg.num_instances)
+    ]
 
     def worker(job):
         seed, n, family = job
@@ -442,23 +407,20 @@ def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], 
             wall_time_ms=ms,
         )
 
-    records = []
-    for rec in _ordered_map(worker, jobs, cfg.threads):
-        records.append(rec)
-        writer.write(rec.to_dict())
-    case_counts: dict[str, int] = {}
-    for r in records:
-        case_counts[r.case] = case_counts.get(r.case, 0) + 1
-    summary = {
-        "kind": cfg.kind,
-        "num_instances": len(records),
-        "fraction_meets_guarantee": sum(r.meets_guarantee for r in records) / len(records),
-        "min_bound_ratio": min(r.bound_ratio for r in records),
-        "case_counts": dict(sorted(case_counts.items())),
-        "max_trials_used": max(r.trials_used for r in records),
-    }
-    writer.finish(summary)
-    return records, summary
+    def summarize(records: list[CutStressRecord]) -> dict:
+        case_counts: dict[str, int] = {}
+        for r in records:
+            case_counts[r.case] = case_counts.get(r.case, 0) + 1
+        return {
+            "kind": cfg.kind,
+            "num_instances": len(records),
+            "fraction_meets_guarantee": sum(r.meets_guarantee for r in records) / len(records),
+            "min_bound_ratio": min(r.bound_ratio for r in records),
+            "case_counts": dict(sorted(case_counts.items())),
+            "max_trials_used": max(r.trials_used for r in records),
+        }
+
+    return _stream(cfg, CutStressRecord, worker, jobs, summarize)
 
 
 def random_signed_graph(n: int, seed: int) -> SignedWeightedGraph:
@@ -492,15 +454,14 @@ def _census_instances(cfg: ExperimentConfig):
             signs = [1.0 if pat >> k & 1 == 0 else -1.0 for k in range(n)]
             label = "".join("+" if s > 0 else "-" for s in signs)
             yield f"cycle{n}:{label}", signed_cycle(n, signs)
-    for n in range(max(2, cfg.n_min), hi + 1):
+    for n in range(cfg.n_min, hi + 1):
         for pat in range(1 << (n - 1)):
             signs = [1.0 if pat >> k & 1 == 0 else -1.0 for k in range(n - 1)]
             label = "".join("+" if s > 0 else "-" for s in signs)
             yield f"path{n}:{label}", signed_path(n, signs)
-    lo = max(2, cfg.n_min)
     for t in range(cfg.num_instances):
         seed = cfg.seed_base + t
-        n = lo + (t % (cfg.n_max - lo + 1))
+        n = cfg.n_min + (t % (cfg.n_max - cfg.n_min + 1))
         yield f"random:n{n}:s{seed}", random_signed_graph(n, seed)
 
 
@@ -510,8 +471,6 @@ def run_hull_census(cfg: ExperimentConfig) -> tuple[list[HullCensusRecord], dict
     Covers all sign patterns of small cycles and paths plus seeded random
     graphs; each record states whether the two decisions agree.
     """
-    items = list(_census_instances(cfg))
-    writer = RecordWriter(cfg.output_path, cfg.output_format, CENSUS_CSV_FIELDS, cfg)
 
     def worker(item):
         label, g = item
@@ -528,30 +487,29 @@ def run_hull_census(cfg: ExperimentConfig) -> tuple[list[HullCensusRecord], dict
             wall_time_ms=ms,
         )
 
-    records = []
-    for rec in _ordered_map(worker, items, cfg.threads):
-        records.append(rec)
-        writer.write(rec.to_dict())
-    disagreements = [r.instance_id for r in records if not r.agree]
-    summary = {
-        "kind": cfg.kind,
-        "total": len(records),
-        "num_exact": sum(r.exact for r in records),
-        "fraction_agree": sum(r.agree for r in records) / len(records),
-        "disagreements": disagreements,
-    }
-    writer.finish(summary)
-    return records, summary
+    def summarize(records: list[HullCensusRecord]) -> dict:
+        return {
+            "kind": cfg.kind,
+            "total": len(records),
+            "num_exact": sum(r.exact for r in records),
+            "fraction_agree": sum(r.agree for r in records) / len(records),
+            "disagreements": [r.instance_id for r in records if not r.agree],
+        }
+
+    return _stream(cfg, HullCensusRecord, worker, list(_census_instances(cfg)), summarize)
+
+
+# kind -> (largest n it accepts, runner); EXPERIMENT_KINDS keeps this order
+_KINDS = {
+    "thm1_montecarlo": (24, run_thm1_montecarlo),
+    "hadamard_ratio": (24, run_hadamard_ratio),
+    "cutfinder_stress": (50, run_cutfinder_stress),
+    "hull_census": (10, run_hull_census),
+    "ratio_sweep": (24, run_ratio_sweep),
+}
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list, dict]:
-    """Dispatch on cfg.kind; returns (records, summary) and writes cfg.output_path."""
-    if cfg.kind == "thm1_montecarlo":
-        return run_thm1_montecarlo(cfg)
-    if cfg.kind == "ratio_sweep":
-        return run_ratio_sweep(cfg)
-    if cfg.kind == "hadamard_ratio":
-        return run_hadamard_ratio(cfg)
-    if cfg.kind == "cutfinder_stress":
-        return run_cutfinder_stress(cfg)
-    return run_hull_census(cfg)
+    """Run cfg.kind's runner; returns (records, summary) and writes cfg.output_path."""
+    return _KINDS[cfg.kind][1](cfg)

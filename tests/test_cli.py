@@ -4,9 +4,12 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bilingap import cli, cuts
-from bilingap.cli import THREADS_ENV_VAR, main
+from bilingap.cli import main
+from bilingap.experiments import EXPERIMENT_KINDS
 from bilingap.graph import Cut, SignedWeightedGraph, VertexSubset, read_instance, write_instance
 
 TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
@@ -250,20 +253,23 @@ class TestExperimentCommand:
         code, _, _ = run_cli(capsys, "experiment", "--config", cfg_path)
         assert code == 1
 
-    def test_threads_env_fallback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        out = str(tmp_path / "env.csv")
-        code, _, _ = run_cli(
-            capsys, "experiment", "thm1_montecarlo",
-            "--n", "4", "--num-instances", "4", "--out", out,
-        )
-        assert code == 0
-        monkeypatch.setenv(THREADS_ENV_VAR, "botched")
-        code, _, _ = run_cli(
-            capsys, "experiment", "thm1_montecarlo",
-            "--n", "4", "--num-instances", "4", "--out", out,
-        )
-        assert code == 1
+    def test_threads_flag_then_config_file_then_default(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "t.jsonl"
+        base = {
+            "kind": "ratio_sweep", "n_min": 2, "n_max": 3, "num_instances": 2,
+            "output_path": str(out), "output_format": "json",
+        }
+
+        def config_threads(config: dict, *flags: str) -> int:
+            cfg_path.write_text(json.dumps(config))
+            code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg_path), *flags)
+            assert code == 0
+            return json.loads(out.read_text().splitlines()[0])["config"]["threads"]
+
+        assert config_threads({**base, "threads": 2}) == 2
+        assert config_threads({**base, "threads": 2}, "--threads", "1") == 1
+        assert config_threads(base) == 1
 
     def test_capacity_exit_code(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -365,9 +371,94 @@ class TestErrorPaths:
         assert out == ""
         assert "one n" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_min", "2"), ("n_min", 2.5), ("seed_base", "x"), ("num_instances", True), ("output_path", 7)],
+    )
+    def test_config_field_wrong_type_exit_1(self, capsys, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "ratio_sweep", "n_min": 2, "n_max": 3, field: value}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: config field {field} must be")
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_experiment_n_below_two_exit_1(self, capsys, kind):
+        code, out, err = run_cli(capsys, "experiment", kind, "--n", "1", "--num-instances", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "2 <= n_min" in err
+
     def test_malformed_instance_json(self, capsys, tmp_path):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
             fh.write("{not json")
         code, _, _ = run_cli(capsys, "eval", "--instance", path)
         assert code == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_REMOVE = object()  # a drawn junk value that deletes the field instead
+
+# values no config field accepts: wrong types, and ints below every floor (seed_base has none)
+_JUNK = st.one_of(
+    st.text(max_size=3),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from([-1, 0]),
+)
+_VALID = {
+    "kind": st.sampled_from(EXPERIMENT_KINDS),
+    "n_min": st.integers(2, 6),
+    "n_max": st.sampled_from([2, 3, 4, 5, 6, 99]),  # 99 is above every kind's cap
+    "num_instances": st.integers(1, 3),
+    "seed_base": st.integers(-(2**70), 2**70),
+    "trial_budget": st.integers(1, 50),
+    "output_format": st.sampled_from(["csv", "json"]),
+    "threads": st.sampled_from([1, 2]),
+}
+
+
+@st.composite
+def experiment_configs(draw):
+    """A config object: kind, n_min and n_max plus some optional fields, then up to
+    two fields made junk or removed; output_path is never drawn."""
+    config = {
+        key: draw(valid)
+        for key, valid in _VALID.items()
+        if key in ("kind", "n_min", "n_max") or draw(st.booleans())
+    }
+    for key in draw(st.lists(st.sampled_from(list(_VALID)), max_size=2, unique=True)):
+        junk = draw(st.one_of(st.just(_REMOVE), _JUNK))
+        if junk is _REMOVE:
+            config.pop(key, None)
+        else:
+            config[key] = junk
+    return config
+
+
+class TestExperimentConfigFuzz:
+    @given(config=experiment_configs(), with_output=st.booleans())
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_config_file_exit_codes_and_strict_json(self, capsys, tmp_path, config, with_output):
+        if with_output:
+            config["output_path"] = str(tmp_path / "records.out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if out:
+            json.loads(out, parse_constant=_reject_constant)
+        if code == 0:
+            assert out
+        else:
+            assert out == ""

@@ -79,6 +79,37 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             ExperimentConfig(kind="ratio_sweep", n_min=2, n_max=4, trial_budget=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_min", "2"),
+            ("n_min", 2.5),
+            ("n_max", None),
+            ("seed_base", "x"),
+            ("seed_base", 1.0),
+            ("num_instances", True),
+            ("trial_budget", False),
+            ("threads", 2.0),
+            ("output_path", 7),
+            ("output_path", False),
+            ("kind", 5),
+            ("kind", ["ratio_sweep"]),
+            ("output_format", None),
+        ],
+    )
+    def test_wrong_field_types_rejected(self, field, value):
+        kw = {"kind": "ratio_sweep", "n_min": 2, "n_max": 4, field: value}
+        with pytest.raises(InputError, match=f"config field {field} must be"):
+            ExperimentConfig(**kw)
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_n_below_two_rejected_for_every_kind(self, kind):
+        for n_min, n_max in ((1, 1), (0, 4), (1, 4)):
+            if kind == "thm1_montecarlo" and n_min != n_max:
+                continue
+            with pytest.raises(InputError, match="2 <= n_min"):
+                ExperimentConfig(kind=kind, n_min=n_min, n_max=n_max)
+
 
 class TestThm1MonteCarlo:
     def test_n2_every_instance_ratio_one(self):
@@ -249,8 +280,10 @@ class TestRunExperimentAndOutput:
         lines = read_text(out).splitlines()
         assert len(lines) == 5
         parsed = [json.loads(line) for line in lines]
-        assert "config" in parsed[0]
-        assert parsed[0]["config"]["kind"] == "thm1_montecarlo"
+        assert lines[0] == (
+            '{"config": {"kind": "thm1_montecarlo", "n_min": 2, "n_max": 2, "num_instances": 3, '
+            '"seed_base": 0, "trial_budget": 1000, "output_format": "json", "threads": 1}}'
+        )
         assert all("record" in p for p in parsed[1:4])
         assert "summary" in parsed[4]
         # any prefix is itself a sequence of valid JSON lines
@@ -288,11 +321,18 @@ class TestRunExperimentAndOutput:
             output_path=str(out),
         )
         run_experiment(cfg)
-        assert read_text(out).splitlines()[0] == ",".join(CUT_CSV_FIELDS)
+        header = read_text(out).splitlines()[0]
+        assert header == (
+            "instance_seed,n,family,weight,bound,bound_ratio,meets_guarantee,case,"
+            "trials_used,wall_time_ms"
+        )
+        assert ",".join(CUT_CSV_FIELDS) == header
         out2 = tmp_path / "census.csv"
         cfg = ExperimentConfig(
             kind="hull_census", n_min=3, n_max=3, num_instances=1,
             output_path=str(out2),
         )
         run_experiment(cfg)
-        assert read_text(out2).splitlines()[0] == ",".join(CENSUS_CSV_FIELDS)
+        header = read_text(out2).splitlines()[0]
+        assert header == "instance_id,n,exact,numeric_exact,agree,wall_time_ms"
+        assert ",".join(CENSUS_CSV_FIELDS) == header
