@@ -21,10 +21,10 @@ import numpy as np
 from .errors import CapacityError, InputError, InvariantViolationError
 from .graph import Cut, SignedWeightedGraph, VertexSubset, _check_subset, cross_weight, cut_weight
 from .rng import SplitMix64
-from .simplex import sign_matrix
+from .simplex import bit_matrix, sign_matrix
 
 ENUMERATION_CAP = 26
-_BLOCK_ENTRIES = 1 << 22  # max scratch entries per enumeration block (~32 MB)
+_BLOCK_ENTRIES = 1 << 18  # max float64 entries per enumeration block (2 MiB, one L2)
 
 
 def _normalize_side(mask: int, full: int) -> int:
@@ -41,6 +41,12 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
 
     Masks are over positions of the ascending vertex list of x.  Each is the
     first attaining mask in ascending enumeration order.
+
+    Only masks with the top position on side 0 are walked: half of them.  A
+    mask and its complement are the same cut, and negating a +/-1 sign row
+    negates every product exactly, so both get the same double.  An
+    attaining mask with the top bit set has a smaller complement that
+    attains too, so the first attaining mask always lies in the walked half.
     """
     verts = sorted(x.members)
     k = len(verts)
@@ -63,14 +69,18 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     qb = 0.5 * np.einsum("mp,pq,mq->m", sb, w_bb, sb)
     va = sa @ w_ab  # row mA: contributions against each B position
     rows_per_block = max(1, _BLOCK_ENTRIES >> h)
+    half = 1 << (kb - 1)  # B rows whose top vertex is on side 0
     best_max = -math.inf
     best_max_mask = 0
     best_min = math.inf
     best_min_mask = 0
-    for start in range(0, 1 << kb, rows_per_block):
-        stop = min(start + rows_per_block, 1 << kb)
-        svals = qb[start:stop, None] + qa[None, :] + sb[start:stop] @ va.T
-        cuts = (total - svals) * 0.5
+    for start in range(0, half, rows_per_block):
+        stop = min(start + rows_per_block, half)
+        # the same doubles as (total - (qb + qa + cross)) * 0.5, computed in place
+        cuts = qb[start:stop, None] + qa[None, :]
+        cuts += sb[start:stop] @ va.T
+        np.subtract(total, cuts, out=cuts)
+        cuts *= 0.5
         flat_max = int(np.argmax(cuts))
         val = float(cuts.flat[flat_max])
         if val > best_max:
@@ -400,8 +410,6 @@ def all_subset_gamma(g: SignedWeightedGraph, absolute: bool = False) -> np.ndarr
     n = g.n
     if n > _TABLE_CAP:
         raise CapacityError(f"all-subset gamma table needs n <= {_TABLE_CAP}, got {n}")
-    from .simplex import bit_matrix
-
     bits = bit_matrix(n)
     w = g.weight_matrix[1:, 1:]
     if absolute:

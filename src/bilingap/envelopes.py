@@ -28,7 +28,7 @@ from .graph import (
     gamma_abs_weight,
     gamma_weight,
 )
-from .simplex import bit_matrix, solve_min
+from .simplex import bit_matrix, solve_min, start_tableau
 
 LP_SIZE_CAP = 16
 _ZERO = 1e-12  # gap values at or below this are treated as exactly zero
@@ -194,8 +194,9 @@ def hull_envelopes_lp(
     a_mat = np.vstack([bits.T, np.ones(1 << f)])
     b_vec = np.append(xs, 1.0)
     basis = _staircase_basis(xs)
-    vex, _ = solve_min(a_mat, b_vec, c, basis)
-    neg_cav, _ = solve_min(a_mat, b_vec, -c, basis)
+    start = start_tableau(a_mat, b_vec, basis)
+    vex, _ = solve_min(a_mat, b_vec, c, basis, start)
+    neg_cav, _ = solve_min(a_mat, b_vec, -c, basis, start)
     cav = -neg_cav
     return cav, vex
 

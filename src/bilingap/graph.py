@@ -270,7 +270,7 @@ def from_json_dict(data: dict) -> SignedWeightedGraph:
         raise InputError(f'"n" must be an integer, got {n!r}')
     if not isinstance(edges, list):
         raise InputError('"edges" must be an array of [i, j, weight] triples')
-    return SignedWeightedGraph(n, tuple(tuple(e) for e in edges))
+    return SignedWeightedGraph(n, tuple(edges))
 
 
 def dumps_json(g: SignedWeightedGraph) -> str:

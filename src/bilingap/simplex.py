@@ -78,28 +78,45 @@ def _pivot_loop(tab, basis, tol, max_iter):
     return -1
 
 
+def start_tableau(a_mat: np.ndarray, b_vec: np.ndarray, basis) -> np.ndarray:
+    """Constraint rows B^-1 [A | b] of the tableau at a basic feasible start.
+
+    They do not depend on the cost vector, so LPs that share A, b and the
+    start basis (min c.x and min -c.x) build them once.  Raises
+    InvariantViolationError if the basis is singular or not primal feasible.
+    """
+    try:
+        reduced = np.linalg.solve(a_mat[:, basis], np.column_stack([a_mat, b_vec]))
+    except np.linalg.LinAlgError as exc:
+        raise InvariantViolationError(f"singular starting basis: {exc}") from None
+    if np.any(reduced[:, -1] < -TOLERANCE):
+        raise InvariantViolationError("starting basis is not primal feasible")
+    return reduced
+
+
 def solve_min(
-    a_mat: np.ndarray, b_vec: np.ndarray, c_vec: np.ndarray, basis: np.ndarray
+    a_mat: np.ndarray,
+    b_vec: np.ndarray,
+    c_vec: np.ndarray,
+    basis: np.ndarray,
+    reduced: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Minimize c.x subject to A x = b, x >= 0, from a given basic feasible start.
 
     basis lists the column indices of a feasible basis (nonsingular, basic
-    solution >= 0).  Returns (optimal objective value, optimal solution).
+    solution >= 0).  reduced, if given, must be start_tableau(a_mat, b_vec,
+    basis); it is read, never written.  Returns (optimal objective value,
+    optimal solution).
     """
     m, ncols = a_mat.shape
+    if reduced is None:
+        reduced = start_tableau(a_mat, b_vec, basis)
     basis = np.array(basis, dtype=np.int64)  # private copy; the pivot loop mutates it
-    bmat = a_mat[:, basis]
-    try:
-        reduced = np.linalg.solve(bmat, np.column_stack([a_mat, b_vec]))
-    except np.linalg.LinAlgError as exc:
-        raise InvariantViolationError(f"singular starting basis: {exc}") from None
     tab = np.empty((m + 1, ncols + 1))
     tab[:m] = reduced
     cb = c_vec[basis]
     tab[m, :ncols] = c_vec - cb @ reduced[:, :ncols]
     tab[m, ncols] = -float(cb @ reduced[:, ncols])
-    if np.any(tab[:m, ncols] < -TOLERANCE):
-        raise InvariantViolationError("starting basis is not primal feasible")
     max_iter = 50 * (ncols + m) + 1000
     status = _pivot_loop(tab, basis, TOLERANCE, max_iter)
     if status == -1:

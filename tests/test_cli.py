@@ -462,3 +462,98 @@ class TestExperimentConfigFuzz:
             assert out
         else:
             assert out == ""
+
+
+# JSON values no instance field accepts: out of range, non-integer, bool, huge, wrong type
+_BAD_INDEX = st.one_of(
+    st.sampled_from([0, -1, 64, 2**63, 10**400]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+_BAD_WEIGHT = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1e308, -1e308, 10**400, 5e-324]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(st.integers(-2, 2), max_size=3),
+)
+_BAD_EDGE = st.one_of(
+    st.integers(-2, 2), st.text(max_size=3), st.none(), st.lists(st.integers(1, 4), max_size=4),
+    st.dictionaries(st.sampled_from("ijw"), st.integers(1, 3), max_size=3),
+)
+# text tokens: valid ones mixed with non-integer, non-finite, huge and empty ones
+_TEXT_TOKENS = st.sampled_from(
+    ["1", "2", "3", "5", "-1", "0", "1.5", "-2.25", "x", "nan", "inf", "-inf", "1e999",
+     "99999999999999999999", "True", "0x1", "n", "#", ""]
+)
+
+
+@st.composite
+def json_instances(draw):
+    """Instance JSON text: an object with n and edges, some fields junk or missing,
+    some edges malformed, possibly cut off at a random byte."""
+    n = draw(st.integers(1, 6))
+    edges = [
+        [i, j, draw(st.sampled_from([1.0, -1.0, 2.5, -0.75]))]
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if draw(st.booleans())
+    ]
+    for e in edges:
+        if draw(st.integers(0, 3)) == 0:
+            slot = draw(st.sampled_from([0, 1, 2]))
+            e[slot] = draw(_BAD_WEIGHT if slot == 2 else _BAD_INDEX)
+    if draw(st.booleans()):
+        edges.append(draw(_BAD_EDGE))
+    data = {"n": n, "edges": edges}
+    for key in draw(st.lists(st.sampled_from(["n", "edges"]), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            data.pop(key)
+        else:
+            data[key] = draw(_BAD_INDEX)
+    text = json.dumps(data)  # non-finite floats become Infinity / NaN tokens
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def text_instances(draw):
+    """Instance text: an optional vertex-count line, then 'i j weight' lines drawn
+    from valid and junk tokens, possibly cut off at a random character."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["n ", "# n "])) + draw(_TEXT_TOKENS))
+    for _ in range(draw(st.integers(0, 5))):
+        lines.append(" ".join(draw(st.lists(_TEXT_TOKENS, min_size=2, max_size=4))))
+    text = "\n".join(lines) + "\n"
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestInstanceFileFuzz:
+    @given(
+        command=st.sampled_from(["eval", "cut", "maxcut", "hullcheck"]),
+        suffix_and_text=st.one_of(
+            st.tuples(st.just(".json"), json_instances()),
+            st.tuples(st.just(".txt"), text_instances()),
+        ),
+    )
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_exit_codes_and_strict_json(self, capsys, tmp_path, command, suffix_and_text):
+        suffix, text = suffix_and_text
+        path = tmp_path / f"inst{suffix}"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, "--instance", str(path))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert out == ""

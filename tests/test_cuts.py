@@ -3,11 +3,12 @@ from __future__ import annotations
 import math
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilingap import cuts
@@ -94,6 +95,102 @@ class TestExtremeCuts:
         assert res.case_taken == "brute_fallback"
         assert res.cut.weight == -2.0
         assert enumeration_calls == [g.vertices]
+
+
+def _cut_extremes_reference(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
+    """Block loop over all 2^k masks, with whole-block temporaries, that the kernel replaces."""
+    verts = sorted(x.members)
+    k = len(verts)
+    if k <= 1:
+        return 0, 0
+    w_sub = g.weight_matrix[np.ix_(verts, verts)]
+    total = float(np.triu(w_sub, 1).sum())
+    h = k // 2
+    kb = k - h
+    sa = cuts.sign_matrix(h)
+    sb = cuts.sign_matrix(kb)
+    qa = 0.5 * np.einsum("mp,pq,mq->m", sa, w_sub[:h, :h], sa)
+    qb = 0.5 * np.einsum("mp,pq,mq->m", sb, w_sub[h:, h:], sb)
+    va = sa @ w_sub[:h, h:]
+    rows_per_block = max(1, (1 << 22) >> h)
+    best_max, best_max_mask = -math.inf, 0
+    best_min, best_min_mask = math.inf, 0
+    for start in range(0, 1 << kb, rows_per_block):
+        stop = min(start + rows_per_block, 1 << kb)
+        svals = qb[start:stop, None] + qa[None, :] + sb[start:stop] @ va.T
+        values = (total - svals) * 0.5
+        flat_max = int(np.argmax(values))
+        val = float(values.flat[flat_max])
+        if val > best_max:
+            best_max = val
+            best_max_mask = ((start + flat_max // (1 << h)) << h) | (flat_max % (1 << h))
+        flat_min = int(np.argmin(values))
+        val = float(values.flat[flat_min])
+        if val < best_min:
+            best_min = val
+            best_min_mask = ((start + flat_min // (1 << h)) << h) | (flat_min % (1 << h))
+    return best_max_mask, best_min_mask
+
+
+_WEIGHT_KINDS = ("pm1", "real", "sparse", "zero")
+# 1 entry forces one B row per block, the max(1, ...) clamp
+_BLOCK_SIZES = pytest.mark.parametrize(
+    "block_entries", [cuts._BLOCK_ENTRIES, 1], ids=["default", "one_row"]
+)
+
+
+def _kernel_graph(seed: int, k: int, kind: str) -> SignedWeightedGraph:
+    """Graph on k vertices: +/-1, uniform real or sparse real weights, or no edges."""
+    rnd = random.Random(seed)
+    edges = []
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            if kind == "pm1":
+                edges.append((i, j, rnd.choice((-1.0, 1.0))))
+            elif kind == "real":
+                edges.append((i, j, rnd.uniform(-3.0, 3.0) or 1.0))
+            elif kind == "sparse" and rnd.random() < 0.2:
+                edges.append((i, j, rnd.uniform(-1e3, 1e3) or 1.0))
+    return SignedWeightedGraph(k, tuple(edges))
+
+
+class TestEnumerationKernel:
+    """The half walk picks the same first-attaining witnesses as the full walk."""
+
+    @_BLOCK_SIZES
+    @given(seed=st.integers(0, 10**6), k=st.integers(2, 14), kind=st.sampled_from(_WEIGHT_KINDS))
+    @example(seed=0, k=2, kind="pm1")
+    @example(seed=1, k=2, kind="real")
+    @example(seed=2, k=3, kind="real")
+    @example(seed=3, k=3, kind="zero")
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_walk(self, block_entries, seed, k, kind):
+        g = _kernel_graph(seed, k, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cuts, "_BLOCK_ENTRIES", block_entries)
+            assert cuts._cut_extremes(g, g.vertices) == _cut_extremes_reference(g, g.vertices)
+
+    @_BLOCK_SIZES
+    def test_hadamard16_matches_full_walk(self, monkeypatch, block_entries):
+        monkeypatch.setattr(cuts, "_BLOCK_ENTRIES", block_entries)
+        h = hadamard_instance(16)
+        assert cuts._cut_extremes(h, h.vertices) == _cut_extremes_reference(h, h.vertices)
+
+    def test_subset_ground_set_matches_full_walk(self):
+        g = _kernel_graph(99, 12, "real")
+        x = VertexSubset.from_members([2, 3, 5, 7, 8, 11, 12])
+        assert cuts._cut_extremes(g, x) == _cut_extremes_reference(g, x)
+
+    def test_k24_scratch_stays_small(self):
+        # whole-block temporaries of the full walk peaked at 128 MiB here
+        g = random_pm1_complete(24, seed=24)
+        tracemalloc.start()
+        try:
+            extreme_cuts(g, g.vertices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 @st.composite

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from bilingap.cli import main
 from bilingap.errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from bilingap.graph import SignedWeightedGraph, VertexSubset, gamma_weight, write_instance
 from bilingap.instances import hadamard_instance
+from bilingap.simplex import solve_min
 
 from conftest import oracle_hull, oracle_mu, random_int_graph
 
@@ -152,6 +154,26 @@ class TestHullLp:
         bx = evaluate_bilinear(TRIANGLE, x)
         assert cav == pytest.approx(bx, abs=1e-12)
         assert vex == pytest.approx(bx, abs=1e-12)
+
+    def test_one_start_tableau_per_lp(self, monkeypatch):
+        g = random_int_graph(11, 5, edge_prob=0.9)
+        x = EvaluationPoint.from_iterable((0.3, 0.45, 0.6, 0.15, 0.8))
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        cav, vex = hull_envelopes_lp(g, x)
+        assert calls == [(6, 6)]
+        # Both sides give the same doubles as when each builds its own start.
+        monkeypatch.setattr(
+            envelopes, "solve_min", lambda a, b, c, basis, reduced: solve_min(a, b, c, basis)
+        )
+        fresh = hull_envelopes_lp(g, x)
+        assert (cav.hex(), vex.hex()) == (fresh[0].hex(), fresh[1].hex())
 
     def test_size_cap(self):
         g = SignedWeightedGraph(17, ((1, 2, 1.0),))

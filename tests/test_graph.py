@@ -282,6 +282,8 @@ class TestSerialization:
             loads_json("{\"edges\": []}")
         with pytest.raises(InputError):
             loads_json("not json")
+        with pytest.raises(InputError, match="triple"):
+            loads_json('{"n": 2, "edges": [0]}')  # an edge that is not a sequence
 
     @pytest.mark.parametrize("name", ["g.json", "g.txt"])
     def test_file_round_trip_by_extension(self, tmp_path, name):
