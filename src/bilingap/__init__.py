@@ -67,7 +67,6 @@ from .instances import (
     signed_cycle,
     signed_path,
 )
-from .rng import SplitMix64
 
 __version__ = "0.1.0"
 
@@ -90,7 +89,6 @@ __all__ = [
     "InstanceSpec",
     "InvariantViolationError",
     "SignedWeightedGraph",
-    "SplitMix64",
     "VertexSubset",
     "ViolatingCycle",
     "all_subset_cut_extremes",

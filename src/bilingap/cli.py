@@ -17,7 +17,7 @@ from .cuts import extreme_cuts, find_large_cut
 from .envelopes import EvaluationPoint, gap_report
 from .errors import CapacityError, InputError, InvariantViolationError
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
-from .graph import SignedWeightedGraph, VertexSubset, read_instance, write_instance
+from .graph import VertexSubset, ascii_float, ascii_int, read_instance, write_instance
 from .hullcheck import check_hull_exact
 from .instances import INSTANCE_FAMILIES, InstanceSpec
 
@@ -44,7 +44,7 @@ def _parse_point(spec: str | None, n: int) -> EvaluationPoint:
             coords.append(0.5)
             continue
         try:
-            coords.append(float(p))
+            coords.append(ascii_float(p))
         except ValueError:
             raise InputError(f"bad coordinate {p!r}; expected a number in [0,1] or 'h'")
     return EvaluationPoint.from_iterable(coords)
@@ -58,7 +58,7 @@ def _parse_subset(spec: str | None, n: int) -> VertexSubset:
     for p in spec.split(","):
         p = p.strip()
         try:
-            v = int(p)
+            v = ascii_int(p)
         except ValueError:
             raise InputError(f"bad vertex label {p!r}")
         if not 1 <= v <= n:
@@ -185,8 +185,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate an instance file from a named family")
     p.add_argument("--family", required=True, choices=[f for f in INSTANCE_FAMILIES if f != "custom_file"])
-    p.add_argument("--n", type=int, required=True, help="vertex count (per side for bipartite)")
-    p.add_argument("--seed", type=int, default=None, help="seed for random families")
+    p.add_argument(
+        "--n", type=ascii_int, required=True, help="vertex count (per side for bipartite)"
+    )
+    p.add_argument("--seed", type=ascii_int, default=None, help="seed for random families")
     p.add_argument("--signs", default=None, help="comma-separated +/- list for cycle/path")
     p.add_argument("--out", required=True, help="output file (.json or .txt)")
     p.add_argument("--format", choices=("json", "text"), default=None, help="override extension sniffing")
@@ -199,8 +201,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cut", help="find a cut meeting the total/(600 sqrt(n)) guarantee")
     p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--budget", type=int, default=1000, help="sampling trial budget")
+    p.add_argument("--seed", type=ascii_int, default=0, help="sampling seed")
+    p.add_argument("--budget", type=ascii_int, default=1000, help="sampling trial budget")
     p.set_defaults(func=_cmd_cut)
 
     p = sub.add_parser("maxcut", help="exact extreme cut weights within a subset (n <= 26)")
@@ -215,15 +217,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run a batch experiment and print its summary")
     p.add_argument("kind", nargs="?", choices=EXPERIMENT_KINDS, help="experiment kind")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument("--n", type=int, default=None, help="shorthand for --n-min N --n-max N")
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--num-instances", type=int, default=None)
-    p.add_argument("--seed-base", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None, help="cut-finder trial budget")
+    p.add_argument("--n", type=ascii_int, default=None, help="shorthand for --n-min N --n-max N")
+    p.add_argument("--n-min", type=ascii_int, default=None)
+    p.add_argument("--n-max", type=ascii_int, default=None)
+    p.add_argument("--num-instances", type=ascii_int, default=None)
+    p.add_argument("--seed-base", type=ascii_int, default=None)
+    p.add_argument("--budget", type=ascii_int, default=None, help="cut-finder trial budget")
     p.add_argument("--out", default=None, help="record output file")
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
+    p.add_argument("--threads", type=ascii_int, default=None, help="worker threads (default 1)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser
@@ -233,6 +235,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # Python 3.11's argparse reads "--flag=--" as [] and skips type= and choices
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 0

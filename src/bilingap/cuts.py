@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, InvariantViolationError
 from .graph import Cut, SignedWeightedGraph, VertexSubset, _check_subset, cross_weight, cut_weight
-from .rng import SplitMix64
+from .rng import bits, draws
 from .simplex import bit_matrix, sign_matrix
 
 ENUMERATION_CAP = 26
@@ -207,12 +207,13 @@ def find_large_cut(
     """Find a cut with |signed weight| >= total_abs_weight / (600 sqrt(n)).
 
     Randomized but fully deterministic given (graph, rng_seed, trial_budget):
-    subsets of the left side of the half-weight partition are sampled (one
-    splitmix64 draw per left vertex, ascending, bit 1 -> in) until the sampled
-    side's aggregate column discrepancy over the right side reaches
-    total / (200 sqrt(n)); the returned cut is then one of three constructive
-    cases.  If the budget is exhausted the best sample is still resolved, and
-    for n <= 26 an exact enumeration fallback is used instead.
+    subsets of the left side of the half-weight partition are sampled (trial t
+    reads splitmix64 outputs t*L .. t*L+L-1 for the L left vertices, ascending,
+    low bit 1 -> in) until the sampled side's aggregate column discrepancy over
+    the right side reaches total / (200 sqrt(n)); the returned cut is then one
+    of three constructive cases.  If the budget is exhausted the best sample is
+    still resolved, and for n <= 26 an exact enumeration fallback is used
+    instead.
     """
     if trial_budget < 1:
         raise InputError(f"trial budget must be >= 1, got {trial_budget}")
@@ -226,27 +227,20 @@ def find_large_cut(
     right_verts = sorted(right.members)
     w_lr = g.weight_matrix[np.ix_(left_verts, right_verts)] if left_verts and right_verts else None
 
-    rng = SplitMix64(rng_seed)
+    size = len(left_verts)
     best_stat = -1.0
-    best_mask = 0
+    best_picks = np.zeros(size)
     best_cols = np.zeros(len(right_verts))
     trials = 0
     stat_met = False
-    for _ in range(trial_budget):
+    for t in range(trial_budget):
         trials += 1
-        mask = 0
-        for p in range(len(left_verts)):
-            if rng.next_u64() & 1:
-                mask |= 1 << p
-        if w_lr is not None:
-            picks = np.array([(mask >> p) & 1 for p in range(len(left_verts))], dtype=np.float64)
-            cols = picks @ w_lr
-        else:
-            cols = np.zeros(len(right_verts))
+        picks = bits(draws(rng_seed, t * size, size))
+        cols = picks @ w_lr if w_lr is not None else np.zeros(len(right_verts))
         stat = float(np.abs(cols).sum())
         if stat > best_stat:
             best_stat = stat
-            best_mask = mask
+            best_picks = picks
             best_cols = cols
         if stat >= stat_threshold - _SLACK:
             stat_met = True
@@ -263,9 +257,7 @@ def find_large_cut(
             case_taken="brute_fallback",
         )
 
-    sample = VertexSubset.from_members(
-        left_verts[p] for p in range(len(left_verts)) if best_mask >> p & 1
-    )
+    sample = VertexSubset.from_members(v for v, pick in zip(left_verts, best_picks) if pick)
     plus_total = float(best_cols[best_cols >= 0].sum())
     minus_total = -float(best_cols[best_cols < 0].sum())
     if plus_total >= minus_total:

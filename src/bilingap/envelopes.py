@@ -24,6 +24,7 @@ from .errors import CapacityError, CertificateError, InputError, InvariantViolat
 from .graph import (
     SignedWeightedGraph,
     VertexSubset,
+    _is_real,
     cut_weight,
     gamma_abs_weight,
     gamma_weight,
@@ -41,11 +42,12 @@ class EvaluationPoint:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
-        for idx, c in enumerate(coords, start=1):
-            if not (0.0 <= c <= 1.0):
+        for idx, c in enumerate(self.coords, start=1):
+            if not _is_real(c):
+                raise InputError(f"coordinate {idx} = {c!r} is not a real number")
+            if not 0 <= c <= 1:
                 raise InputError(f"coordinate {idx} = {c!r} is outside [0, 1]")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
 
     @classmethod
     def of(cls, *coords: float) -> "EvaluationPoint":

@@ -36,10 +36,11 @@ from .instances import (
     hadamard_discrepancy_bound,
     hadamard_instance,
     random_pm1_complete,
+    random_signed_graph,
     signed_cycle,
     signed_path,
+    uniform_real_complete,
 )
-from .rng import SplitMix64
 
 # annotation of an ExperimentConfig field -> the types its value may have
 _FIELD_TYPES = {"int": int, "str": str, "str | None": (str, type(None))}
@@ -352,24 +353,6 @@ def run_hadamard_ratio(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     return _stream(cfg, GapRecord, worker, sizes, summarize)
 
 
-def uniform_real_complete(n: int, seed: int) -> SignedWeightedGraph:
-    """Complete graph with uniform weights in [-1, 1) \\ {0}, for stress runs.
-
-    Not an instance-file family; lives here because only the stress driver
-    uses real-valued random weights.  One splitmix64 draw per edge in
-    lexicographic order (plus redraws on an exact zero).
-    """
-    rng = SplitMix64(seed)
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            w = 0.0
-            while w == 0.0:
-                w = 2.0 * rng.next_unit() - 1.0
-            edges.append((i, j, w))
-    return SignedWeightedGraph(n, tuple(edges))
-
-
 def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], dict]:
     """Run find_large_cut over seeded instances, alternating +/-1 and real weights.
 
@@ -421,22 +404,6 @@ def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], 
         }
 
     return _stream(cfg, CutStressRecord, worker, jobs, summarize)
-
-
-def random_signed_graph(n: int, seed: int) -> SignedWeightedGraph:
-    """Random graph for the census: each pair kept with prob 1/2, sign +/-1.
-
-    One splitmix64 draw per pair in lexicographic order; bit 0 decides
-    presence (1 -> present), bit 1 the sign (0 -> +1).
-    """
-    rng = SplitMix64(seed)
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            u = rng.next_u64()
-            if u & 1:
-                edges.append((i, j, -1.0 if u & 2 else 1.0))
-    return SignedWeightedGraph(n, tuple(edges))
 
 
 def _numeric_exact(g: SignedWeightedGraph, tolerance: float = 1e-9) -> bool:

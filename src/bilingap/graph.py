@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -37,6 +38,8 @@ class VertexSubset:
     def from_members(cls, members: Iterable[int]) -> "VertexSubset":
         m = 0
         for v in members:
+            if not _is_int(v):
+                raise InputError(f"vertex index {v!r} is not an integer")
             v = int(v)
             if v < 1:
                 raise InputError(f"vertex indices are 1-based, got {v}")
@@ -97,6 +100,29 @@ def _is_int(v) -> bool:
 def _is_real(v) -> bool:
     """Python or numpy real number, but not a bool."""
     return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+
+
+# Number tokens in files and on the command line are ASCII only: int() and
+# float() would also take "1_0" and non-ASCII digits such as "\u0663".
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+", re.ASCII)
+_REAL_TOKEN = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)",
+    re.ASCII | re.IGNORECASE,
+)
+
+
+def ascii_int(token: str) -> int:
+    """Decimal integer token, optionally signed; ValueError on anything else."""
+    if not _INT_TOKEN.fullmatch(token):
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
+def ascii_float(token: str) -> float:
+    """Decimal float token, as repr(float) writes one; ValueError on anything else."""
+    if not _REAL_TOKEN.fullmatch(token):
+        raise ValueError(f"invalid number {token!r}")
+    return float(token)
 
 
 @dataclass(frozen=True)
@@ -306,7 +332,7 @@ def loads_text(text: str) -> SignedWeightedGraph:
         cparts = comment.split()
         if n is None and len(cparts) == 2 and cparts[0] == "n":
             try:
-                n = int(cparts[1])
+                n = ascii_int(cparts[1])
             except ValueError:
                 raise InputError(f"line {lineno}: bad vertex count {cparts[1]!r}") from None
         parts = line.split()
@@ -314,14 +340,14 @@ def loads_text(text: str) -> SignedWeightedGraph:
             continue
         if n is None and len(parts) == 2 and parts[0] == "n" and not edges:
             try:
-                n = int(parts[1])
+                n = ascii_int(parts[1])
             except ValueError:
                 raise InputError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             continue
         if len(parts) != 3:
             raise InputError(f'line {lineno}: expected "i j weight", got {raw!r}')
         try:
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            edges.append((ascii_int(parts[0]), ascii_int(parts[1]), ascii_float(parts[2])))
         except ValueError:
             raise InputError(f"line {lineno}: bad edge line {raw!r}") from None
     if n is None:

@@ -1,20 +1,22 @@
 """Seeded instance families: random +/-1 graphs, bit-inner-product graphs, cycles, paths.
 
-Random families draw one splitmix64 output per edge in lexicographic (i, j)
-order and map the low bit to a sign with bit 0 -> +1, so every instance is
-reproducible from (family, n, seed) alone.
+Random families draw one block of splitmix64 outputs per graph and spend them
+one per edge in lexicographic (i, j) order, so every instance is reproducible
+from (family, n, seed) alone.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from itertools import combinations, compress, product
 from pathlib import Path
 
+import numpy as np
+
+from . import rng
 from .errors import CapacityError, InputError
 from .graph import MAX_VERTICES, SignedWeightedGraph, read_instance
-from .rng import SplitMix64
 
 
 def _check_n(n: int, low: int = 2) -> None:
@@ -24,15 +26,17 @@ def _check_n(n: int, low: int = 2) -> None:
         raise CapacityError(f"vertex count {n} exceeds the bitmask cap of {MAX_VERTICES}")
 
 
+def _edges(pairs, weights: np.ndarray) -> tuple:
+    """(i, j, w) triples zipping vertex pairs with a float64 weight array."""
+    return tuple((i, j, w) for (i, j), w in zip(pairs, weights.tolist()))
+
+
 def random_pm1_complete(n: int, seed: int) -> SignedWeightedGraph:
     """Complete graph on n vertices with independent uniform +/-1 weights."""
     _check_n(n)
-    rng = SplitMix64(seed)
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            edges.append((i, j, float(rng.next_sign())))
-    return SignedWeightedGraph(n, tuple(edges))
+    pairs = list(combinations(range(1, n + 1), 2))
+    weights = rng.signs(rng.draws(seed, 0, len(pairs)))
+    return SignedWeightedGraph(n, _edges(pairs, weights))
 
 
 def hadamard_instance(n: int) -> SignedWeightedGraph:
@@ -60,13 +64,41 @@ def random_pm1_bipartite(n_per_side: int, seed: int) -> SignedWeightedGraph:
         raise CapacityError(
             f"2*{n_per_side} vertices exceed the bitmask cap of {MAX_VERTICES}"
         )
-    rng = SplitMix64(seed)
     m = n_per_side
-    edges = []
-    for i in range(1, m + 1):
-        for j in range(m + 1, 2 * m + 1):
-            edges.append((i, j, float(rng.next_sign())))
-    return SignedWeightedGraph(2 * m, tuple(edges))
+    pairs = list(product(range(1, m + 1), range(m + 1, 2 * m + 1)))
+    weights = rng.signs(rng.draws(seed, 0, len(pairs)))
+    return SignedWeightedGraph(2 * m, _edges(pairs, weights))
+
+
+def uniform_real_complete(n: int, seed: int) -> SignedWeightedGraph:
+    """Complete graph with uniform weights 2u - 1 in [-1, 1) \\ {0}, for stress runs.
+
+    An output with u exactly 1/2 would give a zero weight; it is skipped and
+    the next output takes its edge.
+    """
+    _check_n(n)
+    pairs = list(combinations(range(1, n + 1), 2))
+    weights = np.empty(0)
+    used = 0
+    while len(weights) < len(pairs):
+        block = 2.0 * rng.units(rng.draws(seed, used, len(pairs) - len(weights))) - 1.0
+        used += len(block)
+        weights = np.concatenate((weights, block[block != 0.0]))
+    return SignedWeightedGraph(n, _edges(pairs, weights))
+
+
+def random_signed_graph(n: int, seed: int) -> SignedWeightedGraph:
+    """Random graph for the census: each pair kept with prob 1/2, sign +/-1.
+
+    One output per pair: the low bit decides presence (1 -> present), bit 1
+    the sign (0 -> +1).
+    """
+    _check_n(n)
+    pairs = list(combinations(range(1, n + 1), 2))
+    u = rng.draws(seed, 0, len(pairs))
+    present = rng.bits(u) == 1.0
+    kept = list(compress(pairs, present.tolist()))
+    return SignedWeightedGraph(n, _edges(kept, rng.signs(rng.shifted(u))[present]))
 
 
 def _check_signs(signs, count: int, what: str):
@@ -111,7 +143,7 @@ INSTANCE_FAMILIES = (
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Declarative description of one instance, serializable for experiment configs.
+    """Declarative description of one instance, as named by `bilingap gen`.
 
     For the bipartite family n is the size of one side (the graph has 2n
     vertices).  signs are required for cycle/path, seed for the random
@@ -148,41 +180,6 @@ class InstanceSpec:
         if self.family == "path":
             return signed_path(self.n, self.signs)
         return read_instance(Path(self.path))
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"family": self.family, "n": self.n}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.signs is not None:
-            out["signs"] = list(self.signs)
-        if self.path is not None:
-            out["path"] = self.path
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "InstanceSpec":
-        if not isinstance(data, dict) or "family" not in data:
-            raise InputError('instance spec JSON must be an object with a "family"')
-        unknown = set(data) - {"family", "n", "seed", "signs", "path"}
-        if unknown:
-            raise InputError(f"unknown instance spec keys: {sorted(unknown)}")
-        return cls(
-            family=data["family"],
-            n=data.get("n", 0),
-            seed=data.get("seed"),
-            signs=tuple(data["signs"]) if data.get("signs") is not None else None,
-            path=data.get("path"),
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "InstanceSpec":
-        try:
-            return cls.from_json_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid instance spec JSON: {exc}") from None
 
 
 def hadamard_discrepancy_bound(n: int) -> float:

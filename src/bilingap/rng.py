@@ -1,57 +1,63 @@
-"""Seeded 64-bit generator used by every randomized routine in this package.
+"""Seeded 64-bit stream used by every randomized routine in this package.
 
-The generator identity is part of the external reproducibility contract, so it
-is pinned here rather than delegated to platform RNGs:
+The stream identity is part of the external reproducibility contract, so it
+is pinned here rather than delegated to platform RNGs.  It is the standard
+splitmix64 construction; output k (0-based) of seed s is
 
-    state <- (state + 0x9E3779B97F4A7C15) mod 2^64
-    z <- state
+    z <- (s + (k + 1) * 0x9E3779B97F4A7C15) mod 2^64
     z <- ((z xor (z >> 30)) * 0xBF58476D1CE4E5B9) mod 2^64
     z <- ((z xor (z >> 27)) * 0x94D049BB133111EB) mod 2^64
     output = z xor (z >> 31)
 
-This is the standard splitmix64 construction.  Sign sampling maps the low bit
-of each output to {+1, -1} with bit 0 -> +1; membership sampling maps bit 1 ->
-"in".  Consumers draw one output per decision, in the documented order
-(lexicographic edge order for instance generators, ascending vertex order for
-subset sampling), so any implementation of splitmix64 reproduces every
-instance and every search trajectory bit for bit.
+Because the state after k steps is a closed form, any block of outputs is one
+array expression (`draws`).  This module is also the only place where an
+output becomes a value: `bits` (the low bit), `signs` (low bit 0 -> +1) and
+`units` (top 53 bits -> [0, 1)).  Consumers draw blocks in the documented
+order (lexicographic edge order for instance generators, ascending vertex
+order for subset sampling), so any implementation of splitmix64 reproduces
+every instance and every search trajectory bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+# uint64 operands only: mixing in Python ints changes the result type across
+# numpy versions, and scalar uint64 overflow warns where array overflow wraps.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_ONE, _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
 
 
-@dataclass
-class SplitMix64:
-    """splitmix64 stream seeded with an arbitrary Python int (reduced mod 2^64)."""
+def draws(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs start .. start+count-1 (0-based) of the stream of seed (reduced mod 2^64)."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed % 2**64)
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
 
-    seed: int
 
-    def __post_init__(self) -> None:
-        self._state = self.seed & _MASK64
+def bits(u: np.ndarray) -> np.ndarray:
+    """Low bit of each output as a float64 0.0 / 1.0."""
+    return (u & _ONE).astype(np.float64)
 
-    def next_u64(self) -> int:
-        """Next raw 64-bit output."""
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
 
-    def next_sign(self) -> int:
-        """+1 or -1 from the low bit of the next output (bit 0 -> +1)."""
-        return -1 if self.next_u64() & 1 else 1
+def signs(u: np.ndarray) -> np.ndarray:
+    """+1.0 where the low bit is 0, -1.0 where it is 1."""
+    return 1.0 - 2.0 * bits(u)
 
-    def next_bool(self) -> bool:
-        """True with probability 1/2 (low bit 1 -> True)."""
-        return bool(self.next_u64() & 1)
 
-    def next_unit(self) -> float:
-        """Float in [0, 1) built from the top 53 bits of the next output."""
-        return (self.next_u64() >> 11) * 2.0**-53
+def units(u: np.ndarray) -> np.ndarray:
+    """Float64 in [0, 1) from the top 53 bits of each output."""
+    return (u >> _S11) * 2.0**-53
+
+
+def shifted(u: np.ndarray) -> np.ndarray:
+    """Outputs moved down one bit, so `bits`/`signs` read bit 1."""
+    return u >> _ONE

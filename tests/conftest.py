@@ -1,4 +1,4 @@
-"""Shared test oracles: independent pure-python cut enumeration and LP references.
+"""Shared test oracles: pure-python cut enumeration, LP and splitmix64 references.
 
 The oracles here deliberately avoid the library's vectorized code paths so
 tests compare two independent routes to the same quantity.
@@ -68,6 +68,20 @@ def random_int_graph(
                     w = rnd.randint(low, high)
                 edges.append((i, j, float(w)))
     return SignedWeightedGraph(n, tuple(edges))
+
+
+def splitmix64_reference(seed: int, count: int) -> list[int]:
+    """The first count splitmix64 outputs of seed, stepped one at a time on Python ints."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
 
 
 ACCEPTANCE_RESULTS: list[tuple[str, str, bool, str]] = []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,12 @@ from bilingap import cli, cuts
 from bilingap.cli import main
 from bilingap.experiments import EXPERIMENT_KINDS
 from bilingap.graph import Cut, SignedWeightedGraph, VertexSubset, read_instance, write_instance
+from bilingap.instances import (
+    INSTANCE_FAMILIES,
+    hadamard_instance,
+    random_pm1_complete,
+    signed_cycle,
+)
 
 TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
 
@@ -390,6 +397,54 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:") and "2 <= n_min" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cut", "--instance=--"],
+            ["eval", "--instance", "@tri.json", "--point=--"],
+            ["experiment", "ratio_sweep", "--n=--"],
+            ["experiment", "ratio_sweep", "--n", "3", "--format=--"],
+        ],
+    )
+    def test_double_dash_flag_value_exit_1(self, capsys, tmp_path, argv):
+        write_instance(TRIANGLE, tmp_path / "tri.json")
+        argv = [a.replace("@", f"{tmp_path}{os.sep}") for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "expected one argument" in err
+
+    # each argv was exit 0 with a coerced value before number tokens were ASCII-only;
+    # "@h4.json" is a Hadamard n = 4 instance, "@tri.txt" a text file with the given body
+    @pytest.mark.parametrize(
+        "argv, body",
+        [
+            (["hullcheck", "--instance", "@tri.txt"], "# n 13\n1_2 13 1_0.5\n"),
+            (["eval", "--instance", "@tri.txt"], "\u0663 4 1.0\n"),
+            (["eval", "--instance", "@tri.txt"], "1 2 \u0661.5\n"),
+            (["eval", "--instance", "@tri.txt"], "n \u0664\n1 2 1.0\n"),
+            (["eval", "--instance", "@h4.json", "--point", "\u0660.\u0665,h,h,h"], None),
+            (["eval", "--instance", "@h4.json", "--point", "1_0e-1,h,h,h"], None),
+            (["maxcut", "--instance", "@h4.json", "--subset", "\u0663"], None),
+            (["maxcut", "--instance", "@h4.json", "--subset", "0_1"], None),
+            (["cut", "--instance", "@h4.json", "--seed", "\u0663"], None),
+            (["cut", "--instance", "@h4.json", "--budget", "1_000"], None),
+            (["gen", "--family", "hadamard", "--n", "\u0664", "--out", "@gen.json"], None),
+            (["experiment", "ratio_sweep", "--n", "1_0", "--num-instances", "1"], None),
+            (["experiment", "hull_census", "--n", "3", "--threads", "\u0661"], None),
+        ],
+    )
+    def test_non_ascii_or_underscored_numbers_exit_1(self, capsys, tmp_path, argv, body):
+        write_instance(hadamard_instance(4), tmp_path / "h4.json")
+        if body is not None:
+            (tmp_path / "tri.txt").write_text(body, encoding="utf-8")
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert not (tmp_path / "gen.json").exists()
+
     def test_malformed_instance_json(self, capsys, tmp_path):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -554,6 +609,118 @@ class TestInstanceFileFuzz:
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
         if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert out == ""
+
+
+# CLI tokens no flag accepts as written, or accepts only to reject the value later
+_JUNK_TOKENS = ["", "1_0", "\u0663", "\u0660.\u0665", "nan", "-1", str(2**70), "--"]
+# flags whose junk must stay small: a huge instance count or thread count is not fuzzed
+_SMALL_JUNK_TOKENS = [t for t in _JUNK_TOKENS if t != str(2**70)]
+# "@name" is a file under tmp_path: one of four fixture instances, or an output file
+_FIXTURES = {
+    "tri.json": TRIANGLE,
+    "k6.json": random_pm1_complete(6, 3),
+    "h8.txt": hadamard_instance(8),
+    "c5.txt": signed_cycle(5, (1, -1, 1, 1, -1)),
+}
+_INSTANCE = st.sampled_from(["@" + name for name in _FIXTURES])
+_COORD = st.sampled_from(["h", "H", "0", "1", "0.5", "0.25", "1e-1", "7e-1"])
+_SEED = st.integers(-(2**70), 2**70).map(str)
+_N = st.integers(1, 8).map(str)
+
+
+def _joined(token, max_size):
+    return st.lists(token, min_size=1, max_size=max_size).map(",".join)
+
+
+_CLI_FLAGS = {
+    "gen": {
+        "--family": st.sampled_from([f for f in INSTANCE_FAMILIES if f != "custom_file"]),
+        "--n": _N,
+        "--seed": _SEED,
+        "--signs": _joined(st.sampled_from(["+", "-", "1", "-1"]), 8),
+        "--out": st.sampled_from(["@gen.json", "@gen.txt"]),
+        "--format": st.sampled_from(["json", "text"]),
+    },
+    "eval": {"--instance": _INSTANCE, "--point": _joined(_COORD, 8)},
+    "cut": {"--instance": _INSTANCE, "--seed": _SEED, "--budget": st.integers(1, 50).map(str)},
+    "maxcut": {"--instance": _INSTANCE, "--subset": _joined(st.integers(1, 9).map(str), 4)},
+    "hullcheck": {"--instance": _INSTANCE},
+    "experiment": {
+        "kind": st.sampled_from(EXPERIMENT_KINDS),
+        "--n": _N,
+        "--n-min": _N,
+        "--n-max": _N,
+        "--num-instances": st.integers(1, 3).map(str),
+        "--seed-base": _SEED,
+        "--budget": st.integers(1, 50).map(str),
+        "--out": st.sampled_from(["@records.csv", "@records.json"]),
+        "--format": st.sampled_from(["csv", "json"]),
+        "--threads": st.sampled_from(["1", "2"]),
+    },
+}
+
+
+_REQUIRED = {
+    "gen": ("--family", "--n", "--seed", "--out"),
+    "experiment": ("kind", "--n"),
+    **dict.fromkeys(("eval", "cut", "maxcut", "hullcheck"), ("--instance",)),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """One subcommand with its required flags and some optional ones, then up to
+    two of them dropped or given junk values (--out only dropped, so every output
+    stays under tmp_path).  Values go in as "--flag=value" or as two tokens."""
+    command = draw(st.sampled_from(sorted(_CLI_FLAGS)))
+    required = _REQUIRED.get(command, ())
+    values = {
+        flag: draw(valid)
+        for flag, valid in _CLI_FLAGS[command].items()
+        if flag in required or draw(st.booleans())
+    }
+    instance = _FIXTURES.get(values.get("--instance", "")[1:])
+    if "--point" in values and instance is not None and draw(st.booleans()):
+        coords = draw(st.lists(_COORD, min_size=instance.n, max_size=instance.n))
+        values["--point"] = ",".join(coords)
+    junked = []
+    if values:
+        junked = draw(st.lists(st.sampled_from(sorted(values)), max_size=2, unique=True))
+    for flag in junked:
+        small = flag in ("--num-instances", "--threads")
+        junk = draw(st.sampled_from([_REMOVE] + (_SMALL_JUNK_TOKENS if small else _JUNK_TOKENS)))
+        if junk is _REMOVE or flag == "--out":
+            del values[flag]
+        else:
+            values[flag] = junk
+    argv = [command]
+    for flag, value in values.items():
+        if flag == "kind":
+            argv.append(value)
+        elif draw(st.booleans()) or (value.startswith("-") and flag not in junked):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+class TestCliArgumentFuzz:
+    @given(argv=cli_argvs())
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_exit_codes_and_strict_json(self, capsys, tmp_path, argv):
+        for name, g in _FIXTURES.items():
+            if not (tmp_path / name).exists():
+                write_instance(g, tmp_path / name)
+        argv = [a.replace("@", f"{tmp_path}{os.sep}") for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code == 0 and argv[0] != "gen":
             json.loads(out, parse_constant=_reject_constant)
         else:
             assert out == ""

@@ -32,9 +32,8 @@ from bilingap.graph import (
     gamma_weight,
 )
 from bilingap.instances import hadamard_instance, random_pm1_complete
-from bilingap.rng import SplitMix64
 
-from conftest import enumerate_cut_values, oracle_mu, random_int_graph
+from conftest import enumerate_cut_values, oracle_mu, random_int_graph, splitmix64_reference
 
 TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
 
@@ -427,13 +426,36 @@ class TestFindLargeCut:
         # seed 2's first draw has an even low bit, so the single trial samples
         # the empty set and misses the statistic; n <= 26 falls back to brute
         g = SignedWeightedGraph(2, ((1, 2, -7.0),))
-        assert SplitMix64(2).next_u64() & 1 == 0
+        assert splitmix64_reference(2, 1)[0] & 1 == 0
         res = find_large_cut(g, rng_seed=2, trial_budget=1)
         assert res.case_taken == "brute_fallback"
         assert res.cut.weight == -7.0
         assert sorted(res.cut.side.members) == [1]
         assert res.meets_guarantee
         assert res.trials_used == 1
+
+    def test_trial_t_reads_outputs_tL_onwards(self, monkeypatch):
+        # the blocks the trials draw, in order, are the stream's prefix: trial t
+        # reads outputs t*L .. t*L+L-1 for the L left vertices
+        g = random_pm1_complete(5, seed=1)
+        size = len(half_weight_partition(g)[0])
+        blocks = []
+        real_draws = cuts.draws
+
+        def recorded(seed, start, count):
+            blocks.append(real_draws(seed, start, count))
+            return blocks[-1]
+
+        monkeypatch.setattr(cuts, "draws", recorded)
+        retried = 0
+        for seed in range(40):
+            blocks.clear()
+            res = find_large_cut(g, rng_seed=seed, trial_budget=5)
+            assert len(blocks) == res.trials_used
+            drawn = np.concatenate(blocks).tolist()
+            assert drawn == splitmix64_reference(seed, size * res.trials_used)
+            retried += res.trials_used > 1
+        assert retried >= 5
 
     def test_budget_validation(self):
         with pytest.raises(InputError):
@@ -482,15 +504,15 @@ class TestAnticoncentration:
         # For a random subset S of one side, each opposite column sum of a
         # +-1 matrix lands at least sqrt(deg)/2 away from zero with
         # probability >= 1/24.  Empirical check with a fixed seed stream.
-        rng = SplitMix64(31337)
         rows, cols = 10, 10
-        a = np.array(
-            [[1.0 if rng.next_sign() > 0 else -1.0 for _ in range(cols)] for _ in range(rows)]
-        )
         trials = 3000
+        stream = iter(splitmix64_reference(31337, rows * cols + trials * rows))
+        a = np.array(
+            [[-1.0 if next(stream) & 1 else 1.0 for _ in range(cols)] for _ in range(rows)]
+        )
         hits = np.zeros(cols)
         for _ in range(trials):
-            picks = np.array([float(rng.next_u64() & 1) for _ in range(rows)])
+            picks = np.array([float(next(stream) & 1) for _ in range(rows)])
             colsums = picks @ a
             hits += (np.abs(colsums) >= 0.5 * math.sqrt(rows)).astype(float)
         assert (hits / trials >= 1.0 / 24.0).all()

@@ -52,6 +52,18 @@ class TestEvaluationPoint:
         with pytest.raises(InputError):
             EvaluationPoint.from_iterable((-0.1,))
 
+    @pytest.mark.parametrize(
+        "coords", [("0.5", 1), (0.5, None), (True, 0.5), (0.5, 1j), (10**400,)]
+    )
+    def test_rejects_non_real_coordinates(self, coords):
+        with pytest.raises(InputError):
+            EvaluationPoint(coords)
+
+    def test_accepts_numpy_and_int_coordinates(self):
+        x = EvaluationPoint((np.float32(0.5), np.int64(1), 0))
+        assert x.coords == (0.5, 1.0, 0.0)
+        assert all(type(c) is float for c in x.coords)
+
     def test_of_varargs(self):
         assert EvaluationPoint.of(0.5, 1.0).coords == (0.5, 1.0)
 

@@ -13,6 +13,8 @@ from bilingap.graph import (
     Cut,
     SignedWeightedGraph,
     VertexSubset,
+    ascii_float,
+    ascii_int,
     cross_weight,
     cut_weight,
     dumps_json,
@@ -65,6 +67,14 @@ class TestVertexSubset:
             VertexSubset.from_members([64])
         with pytest.raises(CapacityError):
             VertexSubset.full(64)
+
+    @pytest.mark.parametrize("member", [1.7, 2.0, True, "3", None])
+    def test_rejects_non_integer_members(self, member):
+        with pytest.raises(InputError):
+            VertexSubset.from_members([1, member])
+
+    def test_accepts_numpy_integers(self):
+        assert VertexSubset.from_members([np.int64(3), np.uint8(1)]).mask == 0b101
 
     def test_empty_is_falsy(self):
         assert not VertexSubset.from_members([])
@@ -265,6 +275,48 @@ class TestSerialization:
             loads_text("1 2 x\n")
         with pytest.raises(InputError):
             loads_text("# nothing\n")
+
+    # each text parsed at exit 0 into coerced values while int()/float() read the tokens
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# n 13\n1_2 13 1_0.5\n",
+            "1 2 1_0.5\n",
+            "\u0663 4 1.0\n",
+            "1 2 \u0661.5\n",
+            "1 \uff12 1.0\n",
+            "n \u0664\n1 2 1.0\n",
+            "# n 1_0\n1 2 1.0\n",
+        ],
+    )
+    def test_text_rejects_non_ascii_or_underscored_numbers(self, text):
+        with pytest.raises(InputError):
+            loads_text(text)
+
+    @given(st.floats())
+    @settings(max_examples=200, deadline=None)
+    def test_ascii_float_reads_every_repr(self, w):
+        back = ascii_float(repr(w))
+        assert back == w or (math.isnan(w) and math.isnan(back))
+
+    @pytest.mark.parametrize("token", ["0", "+7", "-12", "007", str(2**70)])
+    def test_ascii_int_accepts(self, token):
+        assert ascii_int(token) == int(token)
+
+    @pytest.mark.parametrize(
+        "token", ["", " 1", "1 ", "1_0", "\u0663", "1.0", "0x1", "1e3", "+", "--1", "nan"]
+    )
+    def test_ascii_int_rejects(self, token):
+        with pytest.raises(ValueError):
+            ascii_int(token)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["", "1_0.5", "\u0661.5", "0x1p0", ".", "e5", "1e", "in", "nan1", " 1.0", "infinit"],
+    )
+    def test_ascii_float_rejects(self, token):
+        with pytest.raises(ValueError):
+            ascii_float(token)
 
     @pytest.mark.parametrize(
         "text",

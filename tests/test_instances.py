@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-import json
 import math
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,13 @@ from bilingap.instances import (
     hadamard_instance,
     random_pm1_bipartite,
     random_pm1_complete,
+    random_signed_graph,
     signed_cycle,
     signed_path,
+    uniform_real_complete,
 )
+
+from conftest import splitmix64_reference
 
 
 class TestRandomPm1Complete:
@@ -55,14 +60,12 @@ class TestRandomPm1Complete:
     @settings(max_examples=30, deadline=None)
     def test_lexicographic_draw_order_contract(self, seed):
         # weights must match replaying the generator along (i,j) lexicographic order
-        from bilingap.rng import SplitMix64
-
         g = random_pm1_complete(6, seed)
-        rng = SplitMix64(seed)
+        stream = iter(splitmix64_reference(seed, 15))
         expected = {}
         for i in range(1, 7):
             for j in range(i + 1, 7):
-                expected[(i, j)] = float(rng.next_sign())
+                expected[(i, j)] = -1.0 if next(stream) & 1 else 1.0
         assert {(i, j): w for i, j, w in g.edges} == expected
 
 
@@ -192,27 +195,68 @@ class TestInstanceSpec:
         with pytest.raises(InputError):
             InstanceSpec(family="custom_file", n=4)  # path required
 
-    def test_json_round_trip(self):
-        spec = InstanceSpec(family="cycle", n=4, signs=(1, -1, 1, -1))
-        again = InstanceSpec.loads(spec.dumps())
-        assert again == spec
-        d = spec.to_json_dict()
-        assert d["family"] == "cycle" and d["n"] == 4
-        assert "seed" not in d
-        plain = InstanceSpec(family="hadamard", n=4)
-        assert set(plain.to_json_dict()) == {"family", "n"}
-
     def test_custom_file_round_trip(self, tmp_path):
         g = signed_path(3, (1, -1))
         path = str(tmp_path / "inst.json")
         write_instance(g, path)
         spec = InstanceSpec(family="custom_file", n=3, path=path)
         assert spec.build().edges == g.edges
-        again = InstanceSpec.loads(spec.dumps())
-        assert again.build().edges == g.edges
 
-    def test_loads_rejects_garbage(self):
-        with pytest.raises(InputError):
-            InstanceSpec.loads(json.dumps({"n": 4}))
-        with pytest.raises(InputError):
-            InstanceSpec.loads(json.dumps({"family": "hadamard", "n": 4, "bogus": 1}))
+
+def _replay_uniform_real(n: int, outputs) -> dict:
+    """Edge weights of uniform_real_complete replayed one output at a time, zeros skipped."""
+    stream = iter(outputs)
+    expected = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            w = 0.0
+            while w == 0.0:
+                w = 2.0 * ((next(stream) >> 11) * 2.0**-53) - 1.0
+            expected[(i, j)] = w
+    return expected
+
+
+class TestStressAndCensusFamilies:
+    @given(st.integers(0, 2**64 - 1), st.integers(2, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_uniform_real_matches_scalar_replay(self, seed, n):
+        g = uniform_real_complete(n, seed)
+        expected = _replay_uniform_real(n, splitmix64_reference(seed, n * n))
+        assert {(i, j): w for i, j, w in g.edges} == expected
+
+    @given(st.integers(0, 2**64 - 1), st.integers(2, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_signed_graph_matches_scalar_replay(self, seed, n):
+        g = random_signed_graph(n, seed)
+        stream = iter(splitmix64_reference(seed, n * (n - 1) // 2))
+        expected = {}
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                u = next(stream)
+                if u & 1:
+                    expected[(i, j)] = -1.0 if u & 2 else 1.0
+        assert {(i, j): w for i, j, w in g.edges} == expected
+
+    def test_zero_weight_draw_passes_its_edge_to_the_next_output(self, monkeypatch):
+        # outputs 2, 7, 8 and 10 are forced to u = 1/2 exactly (weight 2u - 1 = 0):
+        # each is skipped and the next output takes its edge, also inside a top-up block
+        from bilingap import rng
+
+        zeroed = (2, 7, 8, 10)
+        real_draws = rng.draws
+
+        def patched(seed, start, count):
+            u = real_draws(seed, start, count)
+            for k in zeroed:
+                if start <= k < start + count:
+                    u[k - start] = np.uint64(1 << 63)
+            return u
+
+        monkeypatch.setattr(rng, "draws", patched)
+        outputs = splitmix64_reference(5, 14)
+        for k in zeroed:
+            outputs[k] = 1 << 63
+        weights = {(i, j): w for i, j, w in uniform_real_complete(5, 5).edges}
+        assert weights == _replay_uniform_real(5, outputs)
+        assert len(weights) == 10 and 0.0 not in weights.values()
+        assert weights[(1, 4)] == 2.0 * ((outputs[3] >> 11) * 2.0**-53) - 1.0

@@ -1,60 +1,97 @@
 from __future__ import annotations
 
-from hypothesis import given, settings
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bilingap.rng import SplitMix64
+from bilingap.rng import bits, draws, shifted, signs, units
+
+from conftest import splitmix64_reference
 
 # Published reference outputs of the splitmix64 algorithm for seed 0.
 SEED0_FIRST_THREE = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 
+SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.just(1 << 70))
+
 
 def test_known_answer_seed_zero():
-    rng = SplitMix64(0)
-    assert tuple(rng.next_u64() for _ in range(3)) == SEED0_FIRST_THREE
+    assert tuple(draws(0, 0, 3).tolist()) == SEED0_FIRST_THREE
+    assert tuple(draws(0, 1, 2).tolist()) == SEED0_FIRST_THREE[1:]
+
+
+def test_draws_are_uint64_and_empty_blocks_work():
+    assert draws(7, 0, 5).dtype == np.uint64
+    assert draws(7, 10, 0).shape == (0,)
 
 
 def test_determinism():
-    a = [SplitMix64(12345).next_u64() for _ in range(10)]
-    b = [SplitMix64(12345).next_u64() for _ in range(10)]
-    assert a == b
+    assert draws(12345, 0, 10).tolist() == draws(12345, 0, 10).tolist()
 
 
 def test_seed_masked_to_64_bits():
-    wide = SplitMix64(1 << 70)
-    assert wide.next_u64() == SplitMix64(0).next_u64()
-    negative_like = SplitMix64(2**64 - 1)
-    assert 0 <= negative_like.next_u64() < 2**64
+    assert draws(1 << 70, 0, 4).tolist() == draws(0, 0, 4).tolist()
+    assert draws(2**64 - 1, 0, 4).tolist() == splitmix64_reference(2**64 - 1, 4)
+
+
+def test_no_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws(2**64 - 1, 10**6, 100)
 
 
 def test_sign_mapping_low_bit_zero_is_plus():
-    rng = SplitMix64(0)
-    expected = [1 if u & 1 == 0 else -1 for u in SEED0_FIRST_THREE]
-    assert [rng.next_sign() for _ in range(3)] == expected
+    expected = [1.0 if u & 1 == 0 else -1.0 for u in SEED0_FIRST_THREE]
+    assert signs(draws(0, 0, 3)).tolist() == expected
+    assert bits(draws(0, 0, 3)).tolist() == [float(u & 1) for u in SEED0_FIRST_THREE]
+
+
+def test_shifted_reads_bit_one():
+    u = draws(99, 0, 64)
+    assert bits(shifted(u)).tolist() == [float(v >> 1 & 1) for v in u.tolist()]
+    assert {v & 3 for v in u.tolist()} == {0, 1, 2, 3}
 
 
 def test_frozen_sign_stream_seed_42():
-    rng = SplitMix64(42)
-    assert [rng.next_sign() for _ in range(8)] == [-1, -1, 1, 1, 1, 1, -1, 1]
-
-
-def test_bool_uses_bit_one():
-    u = SEED0_FIRST_THREE[0]
-    assert SplitMix64(0).next_bool() == bool(u & 2)
+    assert signs(draws(42, 0, 8)).tolist() == [-1, -1, 1, 1, 1, 1, -1, 1]
 
 
 @given(st.integers(0, 2**64 - 1))
 @settings(max_examples=60, deadline=None)
 def test_unit_in_range(seed):
-    rng = SplitMix64(seed)
-    for _ in range(4):
-        u = rng.next_unit()
-        assert 0.0 <= u < 1.0
+    u = draws(seed, 0, 4)
+    vals = units(u)
+    assert ((0.0 <= vals) & (vals < 1.0)).all()
+    assert vals.tolist() == [(v >> 11) * 2.0**-53 for v in u.tolist()]
+
+
+@given(SEEDS, st.integers(0, 3000), st.integers(0, 300))
+@settings(max_examples=20, deadline=None)
+def test_matches_stepped_reference(seed, start, count):
+    assert draws(seed, start, count).tolist() == splitmix64_reference(seed, start + count)[start:]
+
+
+@given(SEEDS, st.integers(0, 10**6), st.integers(0, 2000))
+@settings(max_examples=40, deadline=None)
+@example(0, 0, 2000)
+@example(2**64 - 1, 10**6, 1)
+def test_matches_scalar_reference(seed, start, count):
+    # stepping the reference 10^6 times per example is slow, so start it from the
+    # state after `start` steps, s + start * gamma (test_matches_stepped_reference
+    # checks draws against the fully stepped reference at smaller offsets)
+    offset_seed = (seed + start * 0x9E3779B97F4A7C15) % 2**64
+    assert draws(seed, start, count).tolist() == splitmix64_reference(offset_seed, count)
+
+
+@given(SEEDS, st.integers(0, 10**6), st.integers(0, 500), st.integers(0, 500))
+@settings(max_examples=40, deadline=None)
+def test_blocks_concatenate(seed, start, first, second):
+    joined = np.concatenate((draws(seed, start, first), draws(seed, start + first, second)))
+    assert joined.tolist() == draws(seed, start, first + second).tolist()
 
 
 @given(st.integers(0, 2**63), st.integers(1, 2**63))
 @settings(max_examples=40, deadline=None)
 def test_distinct_seeds_distinct_streams(seed, offset):
-    a = SplitMix64(seed)
-    b = SplitMix64(seed + offset)
-    assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
+    assert draws(seed, 0, 4).tolist() != draws(seed + offset, 0, 4).tolist()
