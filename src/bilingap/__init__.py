@@ -59,7 +59,6 @@ from .graph import (
 from .hullcheck import HullExactness, ViolatingCycle, check_hull_exact, verify_exactness_numerically
 from .instances import (
     INSTANCE_FAMILIES,
-    InstanceSpec,
     hadamard_discrepancy_bound,
     hadamard_instance,
     random_pm1_bipartite,
@@ -86,7 +85,6 @@ __all__ = [
     "HullExactness",
     "INSTANCE_FAMILIES",
     "InputError",
-    "InstanceSpec",
     "InvariantViolationError",
     "SignedWeightedGraph",
     "VertexSubset",

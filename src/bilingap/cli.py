@@ -19,7 +19,7 @@ from .errors import CapacityError, InputError, InvariantViolationError
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from .graph import VertexSubset, ascii_float, ascii_int, read_instance, write_instance
 from .hullcheck import check_hull_exact
-from .instances import INSTANCE_FAMILIES, InstanceSpec
+from .instances import INSTANCE_FAMILIES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,14 +90,15 @@ def _emit(obj) -> None:
 
 
 def _cmd_gen(args) -> int:
-    spec = InstanceSpec(
-        family=args.family,
-        n=args.n,
-        seed=args.seed,
-        signs=_parse_signs(args.signs) if args.signs is not None else None,
-        path=None,
-    )
-    g = spec.build()
+    generate, arg = INSTANCE_FAMILIES[args.family]
+    signs = None if args.signs is None else _parse_signs(args.signs)
+    given = {"seed": args.seed, "signs": signs}
+    if arg is None:
+        g = generate(args.n)
+    elif given[arg] is None:
+        raise InputError(f"family {args.family!r} requires --{arg}")
+    else:
+        g = generate(args.n, given[arg])
     write_instance(g, args.out, fmt=args.format)
     sys.stderr.write(f"wrote {args.out} (n={g.n}, {len(g.edges)} edges)\n")
     return 0
@@ -184,12 +185,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate an instance file from a named family")
-    p.add_argument("--family", required=True, choices=[f for f in INSTANCE_FAMILIES if f != "custom_file"])
+    p.add_argument("--family", required=True, choices=INSTANCE_FAMILIES)
     p.add_argument(
         "--n", type=ascii_int, required=True, help="vertex count (per side for bipartite)"
     )
     p.add_argument("--seed", type=ascii_int, default=None, help="seed for random families")
-    p.add_argument("--signs", default=None, help="comma-separated +/- list for cycle/path")
+    p.add_argument(
+        "--signs", default=None, help="comma-separated +/- list for cycle/path, as --signs=-,+,+"
+    )
     p.add_argument("--out", required=True, help="output file (.json or .txt)")
     p.add_argument("--format", choices=("json", "text"), default=None, help="override extension sniffing")
     p.set_defaults(func=_cmd_gen)

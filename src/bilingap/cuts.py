@@ -225,7 +225,7 @@ def find_large_cut(
     left, right = half_weight_partition(g)
     left_verts = sorted(left.members)
     right_verts = sorted(right.members)
-    w_lr = g.weight_matrix[np.ix_(left_verts, right_verts)] if left_verts and right_verts else None
+    w_lr = g.weight_matrix[np.ix_(left_verts, right_verts)]
 
     size = len(left_verts)
     best_stat = -1.0
@@ -236,7 +236,7 @@ def find_large_cut(
     for t in range(trial_budget):
         trials += 1
         picks = bits(draws(rng_seed, t * size, size))
-        cols = picks @ w_lr if w_lr is not None else np.zeros(len(right_verts))
+        cols = picks @ w_lr
         stat = float(np.abs(cols).sum())
         if stat > best_stat:
             best_stat = stat
@@ -402,8 +402,11 @@ def all_subset_gamma(g: SignedWeightedGraph, absolute: bool = False) -> np.ndarr
     n = g.n
     if n > _TABLE_CAP:
         raise CapacityError(f"all-subset gamma table needs n <= {_TABLE_CAP}, got {n}")
-    bits = bit_matrix(n)
     w = g.weight_matrix[1:, 1:]
-    if absolute:
-        w = np.abs(w)
+    return subset_gamma(np.abs(w) if absolute else w)
+
+
+def subset_gamma(w: np.ndarray) -> np.ndarray:
+    """gamma weight of every subset mask of a symmetric k x k weight block (bit p <-> row p)."""
+    bits = bit_matrix(len(w))
     return 0.5 * np.einsum("mk,mk->m", bits @ w, bits)

@@ -19,15 +19,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .cuts import cut_range_bruteforce
+from .cuts import cut_range_bruteforce, subset_gamma
 from .errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from .graph import (
     SignedWeightedGraph,
     VertexSubset,
+    _check_subset,
     _is_real,
     cut_weight,
     gamma_abs_weight,
     gamma_weight,
+    ordered_sum,
 )
 from .simplex import bit_matrix, solve_min, start_tableau
 
@@ -98,7 +100,7 @@ def evaluate_bilinear(g: SignedWeightedGraph, x: EvaluationPoint) -> float:
     """b(x) = sum over edges of a_ij x_i x_j."""
     _check_point(g, x)
     c = x.coords
-    return float(sum(w * c[i - 1] * c[j - 1] for i, j, w in g.edges))
+    return ordered_sum(w * c[i - 1] * c[j - 1] for i, j, w in g.edges)
 
 
 def mccormick_envelopes(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float, float]:
@@ -154,19 +156,17 @@ def _staircase_basis(xs: np.ndarray) -> np.ndarray:
     return np.array(basis, dtype=np.int64)
 
 
-def hull_envelopes_lp(
-    g: SignedWeightedGraph, x: EvaluationPoint, size_cap: int = LP_SIZE_CAP
-) -> tuple[float, float]:
+def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float, float]:
     """(cav, vex): exact envelope values at x via LP over all 2^n cube vertices.
 
     Coordinates that are exactly 0 or 1 force every vertex of positive weight
     to agree there (their marginal constraints pin the combination), so the LP
     is solved over the remaining fractional subcube with a dense primal
-    simplex under Bland's rule.  Capped at n <= size_cap.
+    simplex under Bland's rule.  Capped at n <= LP_SIZE_CAP.
     """
     _check_point(g, x)
-    if g.n > size_cap:
-        raise CapacityError(f"hull LP needs n <= {size_cap}, got {g.n}")
+    if g.n > LP_SIZE_CAP:
+        raise CapacityError(f"hull LP needs n <= {LP_SIZE_CAP}, got {g.n}")
     ones = x.one_support
     frac = sorted(x.fractional_support.members)
     base = gamma_weight(g, ones)
@@ -177,7 +177,7 @@ def hull_envelopes_lp(
     w_frac = g.weight_matrix[frac]
     w_ff = w_frac[:, frac]
     bits = bit_matrix(f)
-    gam_f = 0.5 * np.einsum("mk,mk->m", bits @ w_ff, bits)
+    gam_f = subset_gamma(w_ff)
     to_one = w_frac[:, sorted(ones.members)].sum(axis=1)
     c = base + bits @ to_one + gam_f
     if f == 1:
@@ -242,7 +242,7 @@ class DualCertificate:
 
     @property
     def objective(self) -> float:
-        return self.y + 0.5 * sum(self.z.values())
+        return self.y + 0.5 * ordered_sum(self.z.values())
 
 
 _CERT_CAP = 20  # feasibility validation enumerates 2^|T_f| subsets
@@ -266,10 +266,9 @@ def dual_certificate(
     k = len(verts)
     if k > _CERT_CAP:
         raise CapacityError(f"certificate validation needs |support| <= {_CERT_CAP}, got {k}")
-    if verts and verts[-1] > g.n:
-        raise InputError(f"subset {verts} is not contained in the vertex set 1..{g.n}")
+    _check_subset(g, t_frac)
     w = g.weight_matrix
-    z = {v: 0.5 * float(sum(w[v, u] for u in verts if u != v)) for v in verts}
+    z = {v: 0.5 * float(ordered_sum(w[v, u] for u in verts if u != v)) for v in verts}
     y = -0.5 * mu
     # Subset tables by iterative doubling: gamma weight and z sum per mask
     # (mask bit p <-> verts[p]).

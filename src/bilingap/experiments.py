@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 from .cuts import all_subset_cut_extremes, all_subset_gamma, cut_range_bruteforce, find_large_cut
 from .envelopes import EvaluationPoint, gap_ratio, mcgap_halfpoint
 from .errors import CapacityError, InputError
-from .graph import SignedWeightedGraph
+from .graph import SignedWeightedGraph, ordered_sum
 from .hullcheck import check_hull_exact
 from .instances import (
     hadamard_discrepancy_bound,
@@ -41,6 +41,8 @@ from .instances import (
     signed_path,
     uniform_real_complete,
 )
+
+MAX_THREADS = 64  # ExperimentConfig.threads cap: the pool starts up to this many OS threads
 
 # annotation of an ExperimentConfig field -> the types its value may have
 _FIELD_TYPES = {"int": int, "str": str, "str | None": (str, type(None))}
@@ -82,6 +84,8 @@ class ExperimentConfig:
             raise InputError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
         if self.threads < 1:
             raise InputError(f"threads must be >= 1, got {self.threads}")
+        if self.threads > MAX_THREADS:
+            raise CapacityError(f"threads must be <= {MAX_THREADS}, got {self.threads}")
         if self.trial_budget < 1:
             raise InputError(f"trial_budget must be >= 1, got {self.trial_budget}")
 
@@ -305,7 +309,7 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
             per_n.append(
                 {
                     "n": n,
-                    "mean_ratio": sum(r.ratio for r in group) / len(group),
+                    "mean_ratio": ordered_sum(r.ratio for r in group) / len(group),
                     "min_ratio": min(r.ratio for r in group),
                     "fraction_met": sum(r.threshold_met for r in group) / len(group),
                 }

@@ -182,7 +182,12 @@ class SignedWeightedGraph:
 
     @cached_property
     def total_abs_weight(self) -> float:
-        return float(sum(abs(w) for _, _, w in self.edges))
+        return ordered_sum(abs(w) for _, _, w in self.edges)
+
+    @cached_property
+    def pair_masks(self) -> tuple[tuple[int, float], ...]:
+        """(bitmask of the two endpoints, weight) per edge, in edge order."""
+        return tuple(((1 << i - 1) | (1 << j - 1), w) for i, j, w in self.edges)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -225,25 +230,41 @@ class Cut:
             raise InputError("cut side must be a subset of the ground set")
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right total from 0.0: the one summation order of every float total.
+
+    sum() would do on Python 3.11, but from 3.12 on it compensates float
+    rounding, so the same edges would give other doubles.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _check_subset(g: SignedWeightedGraph, x: VertexSubset) -> None:
-    if not x.issubset(g.vertices):
+    if x.mask >> g.n:
         raise InputError(
             f"subset {sorted(x.members)} is not contained in the vertex set 1..{g.n}"
         )
+
+
+# Each weight below selects edges by their endpoint mask pm: inside x is
+# x & pm == pm, one endpoint in u is u & pm not in (0, pm).
 
 
 def gamma_weight(g: SignedWeightedGraph, x: VertexSubset) -> float:
     """Total signed weight of edges with both endpoints in x."""
     _check_subset(g, x)
     m = x.mask
-    return float(sum(w for i, j, w in g.edges if m >> (i - 1) & 1 and m >> (j - 1) & 1))
+    return ordered_sum(w for pm, w in g.pair_masks if m & pm == pm)
 
 
 def gamma_abs_weight(g: SignedWeightedGraph, x: VertexSubset) -> float:
     """Total absolute weight of edges with both endpoints in x."""
     _check_subset(g, x)
     m = x.mask
-    return float(sum(abs(w) for i, j, w in g.edges if m >> (i - 1) & 1 and m >> (j - 1) & 1))
+    return ordered_sum(abs(w) for pm, w in g.pair_masks if m & pm == pm)
 
 
 def cut_weight(g: SignedWeightedGraph, x: VertexSubset, u: VertexSubset) -> float:
@@ -252,12 +273,7 @@ def cut_weight(g: SignedWeightedGraph, x: VertexSubset, u: VertexSubset) -> floa
     if not u.issubset(x):
         raise InputError("cut side must be a subset of the ground set")
     xm, um = x.mask, u.mask
-    total = 0.0
-    for i, j, w in g.edges:
-        bi, bj = i - 1, j - 1
-        if xm >> bi & 1 and xm >> bj & 1 and (um >> bi & 1) != (um >> bj & 1):
-            total += w
-    return float(total)
+    return ordered_sum(w for pm, w in g.pair_masks if xm & pm == pm and um & pm not in (0, pm))
 
 
 def cross_weight(g: SignedWeightedGraph, a: VertexSubset, b: VertexSubset) -> float:
@@ -267,12 +283,7 @@ def cross_weight(g: SignedWeightedGraph, a: VertexSubset, b: VertexSubset) -> fl
     if a.mask & b.mask:
         raise InputError("cross_weight requires disjoint subsets")
     am, bm = a.mask, b.mask
-    total = 0.0
-    for i, j, w in g.edges:
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        if (am & bi and bm & bj) or (am & bj and bm & bi):
-            total += w
-    return float(total)
+    return ordered_sum(w for pm, w in g.pair_masks if am & pm and bm & pm)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,13 @@ from (family, n, seed) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, compress, product
-from pathlib import Path
 
 import numpy as np
 
 from . import rng
 from .errors import CapacityError, InputError
-from .graph import MAX_VERTICES, SignedWeightedGraph, read_instance
+from .graph import MAX_VERTICES, SignedWeightedGraph
 
 
 def _check_n(n: int, low: int = 2) -> None:
@@ -131,55 +129,15 @@ def signed_path(n: int, signs) -> SignedWeightedGraph:
     return SignedWeightedGraph(n, tuple(edges))
 
 
-INSTANCE_FAMILIES = (
-    "random_pm1_complete",
-    "hadamard",
-    "random_pm1_bipartite",
-    "cycle",
-    "path",
-    "custom_file",
-)
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Declarative description of one instance, as named by `bilingap gen`.
-
-    For the bipartite family n is the size of one side (the graph has 2n
-    vertices).  signs are required for cycle/path, seed for the random
-    families, path for custom_file.
-    """
-
-    family: str
-    n: int = 0
-    seed: int | None = None
-    signs: tuple[float, ...] | None = None
-    path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in INSTANCE_FAMILIES:
-            raise InputError(f"unknown family {self.family!r}; expected one of {INSTANCE_FAMILIES}")
-        if self.family in ("random_pm1_complete", "random_pm1_bipartite") and self.seed is None:
-            raise InputError(f"family {self.family!r} requires a seed")
-        if self.family in ("cycle", "path") and self.signs is None:
-            raise InputError(f"family {self.family!r} requires signs")
-        if self.family == "custom_file" and not self.path:
-            raise InputError("family 'custom_file' requires a file path")
-        if self.signs is not None:
-            object.__setattr__(self, "signs", tuple(float(s) for s in self.signs))
-
-    def build(self) -> SignedWeightedGraph:
-        if self.family == "random_pm1_complete":
-            return random_pm1_complete(self.n, self.seed)
-        if self.family == "hadamard":
-            return hadamard_instance(self.n)
-        if self.family == "random_pm1_bipartite":
-            return random_pm1_bipartite(self.n, self.seed)
-        if self.family == "cycle":
-            return signed_cycle(self.n, self.signs)
-        if self.family == "path":
-            return signed_path(self.n, self.signs)
-        return read_instance(Path(self.path))
+# family -> (generator, the argument it takes after n: "seed", "signs" or None).
+# For random_pm1_bipartite n is the size of one side (the graph has 2n vertices).
+INSTANCE_FAMILIES = {
+    "random_pm1_complete": (random_pm1_complete, "seed"),
+    "hadamard": (hadamard_instance, None),
+    "random_pm1_bipartite": (random_pm1_bipartite, "seed"),
+    "cycle": (signed_cycle, "signs"),
+    "path": (signed_path, "signs"),
+}
 
 
 def hadamard_discrepancy_bound(n: int) -> float:

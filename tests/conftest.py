@@ -31,6 +31,29 @@ def enumerate_cut_values(g: SignedWeightedGraph, x: VertexSubset) -> dict[int, f
     return out
 
 
+def subset_weights_reference(
+    g: SignedWeightedGraph, x: VertexSubset, u: VertexSubset, a: VertexSubset, b: VertexSubset
+) -> tuple[float, float, float, float]:
+    """(gamma(x), |gamma|(x), cut of x by u, weight across a and b) by per-edge loops.
+
+    Each loop shifts and tests both endpoints of every edge and totals the
+    selected weights left to right from 0.0; u lies inside x, a and b are
+    disjoint.
+    """
+    xm, um, am, bm = x.mask, u.mask, a.mask, b.mask
+    gamma = gamma_abs = cut = cross = 0.0
+    for i, j, w in g.edges:
+        bi, bj = i - 1, j - 1
+        if xm >> bi & 1 and xm >> bj & 1:
+            gamma += w
+            gamma_abs += abs(w)
+            if (um >> bi & 1) != (um >> bj & 1):
+                cut += w
+        if (am >> bi & 1 and bm >> bj & 1) or (am >> bj & 1 and bm >> bi & 1):
+            cross += w
+    return gamma, gamma_abs, cut, cross
+
+
 def oracle_mu(g: SignedWeightedGraph, x: VertexSubset) -> tuple[float, float]:
     """(mu_plus, mu_minus) inside x via the pure-python enumeration."""
     vals = enumerate_cut_values(g, x)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -85,6 +86,22 @@ class TestGen:
         )
         assert code == 0
         assert read_instance(out).num_edges == 15
+
+
+    def test_signs_with_a_leading_minus(self, capsys, tmp_path):
+        out = str(tmp_path / "c3.json")
+        code, _, _ = run_cli(
+            capsys, "gen", "--family", "cycle", "--n", "3", "--signs=-,+,+", "--out", out
+        )
+        assert code == 0
+        assert read_instance(out).weight(1, 2) == -1.0
+        code, stdout, err = run_cli(
+            capsys, "gen", "--family", "cycle", "--n", "3", "--signs", "-,+,+", "--out", out
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "usage" in err.lower() and "--signs" in err
+        assert "Traceback" not in err
 
 
 class TestEval:
@@ -445,6 +462,19 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not (tmp_path / "gen.json").exists()
 
+    @pytest.mark.parametrize("threads", ["65", str(2**70)])
+    def test_threads_above_cap_exit_2(self, capsys, tmp_path, threads):
+        before = threading.active_count()
+        code, out, err = run_cli(
+            capsys, "experiment", "hull_census", "--n", "3", "--threads", threads,
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"threads must be <= 64, got {threads}" in err
+        assert threading.active_count() == before
+        assert not (tmp_path / "r.csv").exists()
+
     def test_malformed_instance_json(self, capsys, tmp_path):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -637,7 +667,7 @@ def _joined(token, max_size):
 
 _CLI_FLAGS = {
     "gen": {
-        "--family": st.sampled_from([f for f in INSTANCE_FAMILIES if f != "custom_file"]),
+        "--family": st.sampled_from(list(INSTANCE_FAMILIES)),
         "--n": _N,
         "--seed": _SEED,
         "--signs": _joined(st.sampled_from(["+", "-", "1", "-1"]), 8),

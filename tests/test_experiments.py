@@ -11,6 +11,7 @@ from bilingap.experiments import (
     CUT_CSV_FIELDS,
     EXPERIMENT_KINDS,
     GAP_CSV_FIELDS,
+    MAX_THREADS,
     ExperimentConfig,
     run_cutfinder_stress,
     run_experiment,
@@ -78,6 +79,11 @@ class TestConfigValidation:
             ExperimentConfig(kind="ratio_sweep", n_min=2, n_max=4, threads=0)
         with pytest.raises(InputError):
             ExperimentConfig(kind="ratio_sweep", n_min=2, n_max=4, trial_budget=0)
+
+    def test_threads_capped(self):
+        ExperimentConfig(kind="ratio_sweep", n_min=2, n_max=4, threads=MAX_THREADS)
+        with pytest.raises(CapacityError, match=f"threads must be <= {MAX_THREADS}"):
+            ExperimentConfig(kind="ratio_sweep", n_min=2, n_max=4, threads=MAX_THREADS + 1)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilingap.envelopes import EvaluationPoint, evaluate_bilinear
 from bilingap.errors import CapacityError, InputError
 from bilingap.graph import (
     MAX_TOTAL_ABS_WEIGHT,
+    MAX_VERTICES,
     Cut,
     SignedWeightedGraph,
     VertexSubset,
@@ -27,7 +31,7 @@ from bilingap.graph import (
     write_instance,
 )
 
-from conftest import random_int_graph
+from conftest import random_int_graph, subset_weights_reference
 
 TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
 MIXED = SignedWeightedGraph(3, ((1, 2, 5.0), (1, 3, -2.0), (2, 3, 1.0)))
@@ -235,6 +239,60 @@ class TestAlgebraicProperties:
     def test_cut_bounded_by_abs_gamma(self, gxu):
         g, x, u = gxu
         assert abs(cut_weight(g, x, u)) <= gamma_abs_weight(g, x) + 1e-12
+
+
+@st.composite
+def graph_and_subsets(draw):
+    """A +/-1, uniform-real, sparse or edgeless graph on 1..63 vertices, x, u inside x,
+    and disjoint a, b."""
+    n = draw(st.one_of(st.just(MAX_VERTICES), st.integers(1, MAX_VERTICES)))
+    family = draw(st.sampled_from(["pm1", "real", "sparse", "edgeless"]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    edges = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if family == "edgeless" or (family == "sparse" and rnd.random() >= 0.1):
+                continue
+            w = rnd.choice((1.0, -1.0)) if family == "pm1" else rnd.uniform(-1.0, 1.0)
+            edges.append((i, j, w or 0.5))
+    full = (1 << n) - 1
+    x = draw(st.integers(0, full))
+    u = draw(st.integers(0, full)) & x
+    a = draw(st.integers(0, full))
+    b = draw(st.integers(0, full)) & ~a
+    return SignedWeightedGraph(n, tuple(edges)), *map(VertexSubset, (x, u, a, b))
+
+
+class TestPairMasks:
+    @given(graph_and_subsets())
+    @settings(max_examples=300, deadline=None)
+    def test_weights_equal_the_per_edge_loops(self, case):
+        g, x, u, a, b = case
+        got = [gamma_weight(g, x), gamma_abs_weight(g, x), cut_weight(g, x, u)]
+        got.append(cross_weight(g, a, b))
+        assert [v.hex() for v in got] == [v.hex() for v in subset_weights_reference(g, x, u, a, b)]
+
+    def test_pair_masks(self):
+        assert MIXED.pair_masks == ((0b011, 5.0), (0b101, -2.0), (0b110, 1.0))
+        g = SignedWeightedGraph(63, ((1, 63, 2.0),))
+        assert g.pair_masks == ((1 | 1 << 62, 2.0),)
+
+    @pytest.mark.parametrize("mask, members", [(0b1001, [1, 4]), (1 << 63 | 1, [1, 64])])
+    def test_subset_beyond_n_rejected(self, mask, members):
+        message = f"subset {members} is not contained in the vertex set 1..3"
+        for weight in (gamma_weight, gamma_abs_weight):
+            with pytest.raises(InputError, match=re.escape(message)):
+                weight(TRIANGLE, VertexSubset(mask))
+        with pytest.raises(InputError, match=re.escape(message)):
+            cut_weight(TRIANGLE, VertexSubset(mask), VertexSubset())
+        with pytest.raises(InputError, match=re.escape(message)):
+            cross_weight(TRIANGLE, VertexSubset(), VertexSubset(mask))
+
+    def test_totals_run_left_to_right(self):
+        # a compensated sum (sum() from Python 3.12 on) would give 1.0
+        g = SignedWeightedGraph(3, ((1, 2, 1e16), (1, 3, 1.0), (2, 3, -1e16)))
+        assert gamma_weight(g, VertexSubset.full(3)) == 0.0
+        assert evaluate_bilinear(g, EvaluationPoint.of(1.0, 1.0, 1.0)) == 0.0
 
 
 class TestSerialization:

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from bilingap.cuts import cut_range_bruteforce
 from bilingap.envelopes import EvaluationPoint, mcgap_halfpoint
 from bilingap.errors import CapacityError, InputError
-from bilingap.graph import write_instance
+from bilingap.cli import main
+from bilingap.graph import read_instance
 from bilingap.instances import (
     INSTANCE_FAMILIES,
-    InstanceSpec,
     hadamard_discrepancy_bound,
     hadamard_instance,
     random_pm1_bipartite,
@@ -163,44 +163,47 @@ class TestCyclePath:
             signed_path(3, (1,))
 
 
-class TestInstanceSpec:
-    def test_families_tuple(self):
-        assert set(INSTANCE_FAMILIES) == {
-            "random_pm1_complete", "hadamard", "random_pm1_bipartite",
-            "cycle", "path", "custom_file",
+class TestInstanceFamilies:
+    # family -> (the gen flags after --n, the generator call they name)
+    CASES = {
+        "random_pm1_complete": (["--seed", "2"], lambda n: random_pm1_complete(n, 2)),
+        "hadamard": ([], hadamard_instance),
+        "random_pm1_bipartite": (["--seed", "0"], lambda n: random_pm1_bipartite(n, 0)),
+        "cycle": (["--signs=+,+,-,+"], lambda n: signed_cycle(n, (1, 1, -1, 1))),
+        "path": (["--signs=-,+,+"], lambda n: signed_path(n, (-1, 1, 1))),
+    }
+
+    def test_family_table(self, tmp_path, capsys):
+        assert list(INSTANCE_FAMILIES) == list(self.CASES)
+        assert main(["gen", "--family", "nope", "--n", "4", "--out", str(tmp_path / "g")]) == 1
+        assert {f: arg for f, (_, arg) in INSTANCE_FAMILIES.items()} == {
+            "random_pm1_complete": "seed",
+            "hadamard": None,
+            "random_pm1_bipartite": "seed",
+            "cycle": "signs",
+            "path": "signs",
         }
 
-    def test_build_matches_generators(self):
-        assert InstanceSpec(family="hadamard", n=4).build().edges == hadamard_instance(4).edges
-        assert (
-            InstanceSpec(family="random_pm1_complete", n=7, seed=2).build().edges
-            == random_pm1_complete(7, 2).edges
-        )
-        assert (
-            InstanceSpec(family="cycle", n=3, signs=(1, 1, -1)).build().edges
-            == signed_cycle(3, (1, 1, -1)).edges
-        )
+    @pytest.mark.parametrize("family", list(CASES))
+    def test_gen_builds_the_generator_edges(self, family, tmp_path, capsys):
+        flags, build = self.CASES[family]
+        n = 3 if family == "random_pm1_bipartite" else 4
+        out = tmp_path / "g.json"
+        assert main(["gen", "--family", family, "--n", str(n), *flags, "--out", str(out)]) == 0
+        expected = build(n)
+        g = read_instance(out)
+        assert (g.n, g.edges) == (expected.n, expected.edges)
+        if family == "random_pm1_bipartite":
+            assert g.n == 6  # n is per side
 
-    def test_bipartite_n_is_per_side(self):
-        g = InstanceSpec(family="random_pm1_bipartite", n=3, seed=0).build()
-        assert g.n == 6
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            InstanceSpec(family="nope", n=4)
-        with pytest.raises(InputError):
-            InstanceSpec(family="random_pm1_complete", n=4)  # seed required
-        with pytest.raises(InputError):
-            InstanceSpec(family="cycle", n=3)  # signs required
-        with pytest.raises(InputError):
-            InstanceSpec(family="custom_file", n=4)  # path required
-
-    def test_custom_file_round_trip(self, tmp_path):
-        g = signed_path(3, (1, -1))
-        path = str(tmp_path / "inst.json")
-        write_instance(g, path)
-        spec = InstanceSpec(family="custom_file", n=3, path=path)
-        assert spec.build().edges == g.edges
+    @pytest.mark.parametrize("family", [f for f, (_, arg) in INSTANCE_FAMILIES.items() if arg])
+    def test_gen_needs_its_argument(self, family, tmp_path, capsys):
+        arg = INSTANCE_FAMILIES[family][1]
+        code = main(["gen", "--family", family, "--n", "4", "--out", str(tmp_path / "g.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"requires --{arg}" in captured.err and captured.out == ""
+        assert not (tmp_path / "g.json").exists()
 
 
 def _replay_uniform_real(n: int, outputs) -> dict:
