@@ -90,15 +90,16 @@ def _emit(obj) -> None:
 
 
 def _cmd_gen(args) -> int:
+    """The family's own argument flag is required and any other one is rejected."""
     generate, arg = INSTANCE_FAMILIES[args.family]
-    signs = None if args.signs is None else _parse_signs(args.signs)
-    given = {"seed": args.seed, "signs": signs}
+    for flag, value in (("seed", args.seed), ("signs", args.signs)):
+        if (value is None) == (flag == arg):
+            rule = "requires" if value is None else "does not take"
+            raise InputError(f"family {args.family!r} {rule} --{flag}")
     if arg is None:
         g = generate(args.n)
-    elif given[arg] is None:
-        raise InputError(f"family {args.family!r} requires --{arg}")
     else:
-        g = generate(args.n, given[arg])
+        g = generate(args.n, args.seed if arg == "seed" else _parse_signs(args.signs))
     write_instance(g, args.out, fmt=args.format)
     sys.stderr.write(f"wrote {args.out} (n={g.n}, {len(g.edges)} edges)\n")
     return 0

@@ -15,11 +15,14 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import CapacityError, InputError, InvariantViolationError
-from .graph import Cut, SignedWeightedGraph, VertexSubset, _check_subset, cross_weight, cut_weight
+from .graph import (
+    Cut, SignedWeightedGraph, VertexSubset, _check_subset, _is_int, cross_weight, cut_weight
+)
 from .rng import bits, draws
 from .simplex import bit_matrix, sign_matrix
 
@@ -215,8 +218,8 @@ def find_large_cut(
     still resolved, and for n <= 26 an exact enumeration fallback is used
     instead.
     """
-    if trial_budget < 1:
-        raise InputError(f"trial budget must be >= 1, got {trial_budget}")
+    if not _is_int(trial_budget) or trial_budget < 1:
+        raise InputError(f"trial budget must be an integer >= 1, got {trial_budget!r}")
     n = g.n
     total = g.total_abs_weight
     bound = total / (600.0 * math.sqrt(n))
@@ -260,16 +263,9 @@ def find_large_cut(
     sample = VertexSubset.from_members(v for v, pick in zip(left_verts, best_picks) if pick)
     plus_total = float(best_cols[best_cols >= 0].sum())
     minus_total = -float(best_cols[best_cols < 0].sum())
-    if plus_total >= minus_total:
-        side_sign = 1.0
-        chosen = VertexSubset.from_members(
-            right_verts[q] for q in range(len(right_verts)) if best_cols[q] >= 0
-        )
-    else:
-        side_sign = -1.0
-        chosen = VertexSubset.from_members(
-            right_verts[q] for q in range(len(right_verts)) if best_cols[q] < 0
-        )
+    side_sign = 1.0 if plus_total >= minus_total else -1.0
+    picked = (best_cols >= 0) == (side_sign > 0)  # the columns on the chosen sign's side
+    chosen = VertexSubset.from_members(compress(right_verts, picked.tolist()))
     rest = g.vertices.difference(sample.union(chosen))
     sample_rest = cross_weight(g, sample, rest)
     chosen_rest = cross_weight(g, chosen, rest)

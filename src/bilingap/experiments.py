@@ -25,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cuts import all_subset_cut_extremes, all_subset_gamma, cut_range_bruteforce, find_large_cut
 from .envelopes import EvaluationPoint, gap_ratio, mcgap_halfpoint
@@ -217,45 +217,54 @@ def _ordered_map(worker: Callable, args: Sequence, threads: int) -> Iterable:
 def _stream(
     cfg: ExperimentConfig,
     record_type: type,
-    worker: Callable,
+    worker: Callable[..., dict],
     jobs: Sequence,
     summarize: Callable[[list], dict],
 ) -> tuple[list, dict]:
     """The one record loop: worker(job) per job on cfg.threads threads, in job order.
 
-    Each record streams to cfg's output as it arrives; the summary,
-    summarize(records), closes the output.  Returns (records, summary).
+    worker returns a record's fields but wall_time_ms, which is the elapsed
+    time of that worker call.  Each record streams to cfg's output as it
+    arrives; the summary, cfg.kind under "kind" and then summarize(records),
+    closes the output.  Returns (records, summary).
     """
+
+    def timed(job):
+        clock = time.perf_counter
+        start = clock()
+        values = worker(job)
+        return record_type(**values, wall_time_ms=round((clock() - start) * 1000.0, 3))
+
     writer = RecordWriter(cfg.output_path, cfg.output_format, record_type.FIELDS, cfg)
     records = []
-    for rec in _ordered_map(worker, jobs, cfg.threads):
+    for rec in _ordered_map(timed, jobs, cfg.threads):
         records.append(rec)
         writer.write(rec.to_dict())
-    summary = summarize(records)
+    summary = {"kind": cfg.kind, **summarize(records)}
     writer.finish(summary)
     return records, summary
 
 
+def _seeded_instances(cfg: ExperimentConfig) -> Iterator[tuple[int, int, int]]:
+    """(t, seed, n) of instance t < num_instances: seed seed_base + t, n cycling n_min..n_max."""
+    span = cfg.n_max - cfg.n_min + 1
+    for t in range(cfg.num_instances):
+        yield t, cfg.seed_base + t, cfg.n_min + t % span
+
+
 def _gap_measurement(
     g: SignedWeightedGraph, seed: int, threshold: float
-) -> tuple[GapRecord, float, float]:
-    """Gap record of g at the all-half point, plus the (max, min) cut weights behind chgap."""
-    start = time.perf_counter()
+) -> tuple[dict, float, float]:
+    """Gap record fields of g at the all-half point, plus its (max, min) cut weights."""
     mu_plus, mu_minus = cut_range_bruteforce(g, g.vertices)
     mcgap, chgap, ratio, _ = gap_ratio(
         mcgap_halfpoint(g, EvaluationPoint.all_half(g.n)), 0.5 * (mu_plus - mu_minus)
     )
-    rec = GapRecord(
-        instance_seed=seed,
-        n=g.n,
-        mcgap=mcgap,
-        chgap=chgap,
-        ratio=ratio,
-        threshold=threshold,
-        threshold_met=ratio >= threshold,
-        wall_time_ms=round((time.perf_counter() - start) * 1000.0, 3),
+    values = dict(
+        instance_seed=seed, n=g.n, mcgap=mcgap, chgap=chgap, ratio=ratio,
+        threshold=threshold, threshold_met=ratio >= threshold,
     )
-    return rec, mu_plus, mu_minus
+    return values, mu_plus, mu_minus
 
 
 def _run_gap_sweep(
@@ -287,7 +296,6 @@ def run_thm1_montecarlo(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     def summarize(records: list[GapRecord]) -> dict:
         ratios = [r.ratio for r in records]
         return {
-            "kind": cfg.kind,
             "n": cfg.n_max,
             "num_instances": len(records),
             "threshold": math.sqrt(cfg.n_max) / 4.0,
@@ -314,7 +322,7 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
                     "fraction_met": sum(r.threshold_met for r in group) / len(group),
                 }
             )
-        return {"kind": cfg.kind, "num_records": len(records), "per_n": per_n}
+        return {"num_records": len(records), "per_n": per_n}
 
     return _run_gap_sweep(cfg, summarize)
 
@@ -339,16 +347,13 @@ def run_hadamard_ratio(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
             "mu_minus": mu_minus,
             "discrepancy_bound": bound,
             "discrepancy_ok": mu_plus <= bound + 1e-9 and -mu_minus <= bound + 1e-9,
-            "ratio": rec.ratio,
-            "threshold": rec.threshold,
-            "threshold_met": rec.threshold_met,
+            **{k: rec[k] for k in ("ratio", "threshold", "threshold_met")},
         }
         return rec
 
     def summarize(records: list[GapRecord]) -> dict:
         ordered = [rows[n] for n in sizes]
         return {
-            "kind": cfg.kind,
             "sizes": sizes,
             "all_within_discrepancy_bound": all(r["discrepancy_ok"] for r in ordered),
             "rows": ordered,
@@ -364,34 +369,24 @@ def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], 
     pm1/real alternating.  The bound_ratio column reports how far above the
     guaranteed total/(600 sqrt(n)) bound the found cut landed.
     """
-    span = cfg.n_max - cfg.n_min + 1
     jobs = [
-        (cfg.seed_base + t, cfg.n_min + (t % span), "pm1" if t % 2 == 0 else "real")
-        for t in range(cfg.num_instances)
+        (seed, n, "pm1" if t % 2 == 0 else "real") for t, seed, n in _seeded_instances(cfg)
     ]
 
     def worker(job):
         seed, n, family = job
-        start = time.perf_counter()
-        g = (
-            random_pm1_complete(n, seed)
-            if family == "pm1"
-            else uniform_real_complete(n, seed)
-        )
+        g = (random_pm1_complete if family == "pm1" else uniform_real_complete)(n, seed)
         res = find_large_cut(g, rng_seed=seed, trial_budget=cfg.trial_budget)
-        ms = round((time.perf_counter() - start) * 1000.0, 3)
-        ratio = abs(res.cut.weight) / res.bound if res.bound > 0 else math.inf
-        return CutStressRecord(
+        return dict(
             instance_seed=seed,
             n=n,
             family=family,
             weight=res.cut.weight,
             bound=res.bound,
-            bound_ratio=ratio,
+            bound_ratio=abs(res.cut.weight) / res.bound if res.bound > 0 else math.inf,
             meets_guarantee=res.meets_guarantee,
             case=res.case_taken,
             trials_used=res.trials_used,
-            wall_time_ms=ms,
         )
 
     def summarize(records: list[CutStressRecord]) -> dict:
@@ -399,7 +394,6 @@ def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], 
         for r in records:
             case_counts[r.case] = case_counts.get(r.case, 0) + 1
         return {
-            "kind": cfg.kind,
             "num_instances": len(records),
             "fraction_meets_guarantee": sum(r.meets_guarantee for r in records) / len(records),
             "min_bound_ratio": min(r.bound_ratio for r in records),
@@ -410,29 +404,25 @@ def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], 
     return _stream(cfg, CutStressRecord, worker, jobs, summarize)
 
 
-def _numeric_exact(g: SignedWeightedGraph, tolerance: float = 1e-9) -> bool:
-    """mu_plus(X) - mu_minus(X) = |gamma|(X) for every subset X (table-based, n <= 16)."""
+def _numeric_exact(g: SignedWeightedGraph) -> bool:
+    """mu_plus(X) - mu_minus(X) = |gamma|(X) within 1e-9 for every subset X (n <= 16)."""
     mu_plus, mu_minus = all_subset_cut_extremes(g)
     gabs = all_subset_gamma(g, absolute=True)
-    return bool(abs((mu_plus - mu_minus) - gabs).max() <= tolerance)
+    return bool(abs((mu_plus - mu_minus) - gabs).max() <= 1e-9)
 
 
 def _census_instances(cfg: ExperimentConfig):
     """Census instance stream: exhaustive small sign-pattern families, then random graphs."""
-    hi = min(cfg.n_max, 8)
-    for n in range(max(3, cfg.n_min), hi + 1):
-        for pat in range(1 << n):
-            signs = [1.0 if pat >> k & 1 == 0 else -1.0 for k in range(n)]
-            label = "".join("+" if s > 0 else "-" for s in signs)
-            yield f"cycle{n}:{label}", signed_cycle(n, signs)
-    for n in range(cfg.n_min, hi + 1):
-        for pat in range(1 << (n - 1)):
-            signs = [1.0 if pat >> k & 1 == 0 else -1.0 for k in range(n - 1)]
-            label = "".join("+" if s > 0 else "-" for s in signs)
-            yield f"path{n}:{label}", signed_path(n, signs)
-    for t in range(cfg.num_instances):
-        seed = cfg.seed_base + t
-        n = cfg.n_min + (t % (cfg.n_max - cfg.n_min + 1))
+    # (family, smallest n, edges on n vertices minus n); the generator is looked
+    # up by name here, so a replaced experiments.signed_cycle is the one called
+    for family, low, shift in (("cycle", 3, 0), ("path", 2, -1)):
+        generate = globals()[f"signed_{family}"]
+        for n in range(max(low, cfg.n_min), min(cfg.n_max, 8) + 1):
+            for pat in range(1 << (n + shift)):
+                signs = [1.0 if pat >> k & 1 == 0 else -1.0 for k in range(n + shift)]
+                label = "".join("+" if s > 0 else "-" for s in signs)
+                yield f"{family}{n}:{label}", generate(n, signs)
+    for _, seed, n in _seeded_instances(cfg):
         yield f"random:n{n}:s{seed}", random_signed_graph(n, seed)
 
 
@@ -445,22 +435,14 @@ def run_hull_census(cfg: ExperimentConfig) -> tuple[list[HullCensusRecord], dict
 
     def worker(item):
         label, g = item
-        start = time.perf_counter()
         exact = check_hull_exact(g).exact
         numeric = _numeric_exact(g)
-        ms = round((time.perf_counter() - start) * 1000.0, 3)
-        return HullCensusRecord(
-            instance_id=label,
-            n=g.n,
-            exact=exact,
-            numeric_exact=numeric,
-            agree=exact == numeric,
-            wall_time_ms=ms,
+        return dict(
+            instance_id=label, n=g.n, exact=exact, numeric_exact=numeric, agree=exact == numeric
         )
 
     def summarize(records: list[HullCensusRecord]) -> dict:
         return {
-            "kind": cfg.kind,
             "total": len(records),
             "num_exact": sum(r.exact for r in records),
             "fraction_agree": sum(r.agree for r in records) / len(records),

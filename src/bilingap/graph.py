@@ -31,6 +31,10 @@ class VertexSubset:
     mask: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.mask) is not int:  # a numpy integer becomes an int
+            if not _is_int(self.mask):
+                raise InputError(f"vertex subset mask must be an integer, got {self.mask!r}")
+            object.__setattr__(self, "mask", int(self.mask))
         if self.mask < 0:
             raise InputError("vertex subset mask must be non-negative")
 
@@ -138,12 +142,13 @@ class SignedWeightedGraph:
     edges: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise InputError(f"vertex count must be a positive integer, got {self.n!r}")
         if self.n > MAX_VERTICES:
             raise CapacityError(
                 f"vertex count {self.n} exceeds the bitmask cap of {MAX_VERTICES}"
             )
+        object.__setattr__(self, "n", int(self.n))
         canon = []
         seen = set()
         for e in self.edges:

@@ -42,30 +42,24 @@ class HullExactness:
     violating_cycle: ViolatingCycle | None
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "exact": self.exact,
-            "positive_coloring": (
-                {str(v): c for v, c in sorted(self.positive_coloring.items())}
-                if self.positive_coloring is not None
-                else None
-            ),
-            "negative_coloring": (
-                {str(v): c for v, c in sorted(self.negative_coloring.items())}
-                if self.negative_coloring is not None
-                else None
-            ),
-            "violating_cycle": (
-                list(self.violating_cycle.vertices) if self.violating_cycle else None
-            ),
-            "violating_cycle_edge_counts": (
-                {
-                    "positive": self.violating_cycle.positive_edges,
-                    "negative": self.violating_cycle.negative_edges,
-                }
-                if self.violating_cycle
-                else None
-            ),
+            "positive_coloring": _coloring_json(self.positive_coloring),
+            "negative_coloring": _coloring_json(self.negative_coloring),
+            "violating_cycle": None,
+            "violating_cycle_edge_counts": None,
         }
+        cycle = self.violating_cycle
+        if cycle is not None:
+            out["violating_cycle"] = list(cycle.vertices)
+            counts = {"positive": cycle.positive_edges, "negative": cycle.negative_edges}
+            out["violating_cycle_edge_counts"] = counts
+        return out
+
+
+def _coloring_json(coloring: dict[int, int] | None) -> dict[str, int] | None:
+    """Coloring with string vertex keys in ascending vertex order, or None."""
+    return None if coloring is None else {str(v): c for v, c in sorted(coloring.items())}
 
 
 def _propagate(g: SignedWeightedGraph, cross_negative: bool):

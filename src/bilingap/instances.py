@@ -14,14 +14,16 @@ import numpy as np
 
 from . import rng
 from .errors import CapacityError, InputError
-from .graph import MAX_VERTICES, SignedWeightedGraph
+from .graph import MAX_VERTICES, SignedWeightedGraph, _is_int, _is_real
 
 
-def _check_n(n: int, low: int = 2) -> None:
-    if not isinstance(n, int) or n < low:
+def _check_n(n: int, low: int = 2, per_vertex: int = 1) -> int:
+    """n as an int; the graph has per_vertex * n vertices."""
+    if not _is_int(n) or n < low:
         raise InputError(f"vertex count must be an integer >= {low}, got {n!r}")
-    if n > MAX_VERTICES:
-        raise CapacityError(f"vertex count {n} exceeds the bitmask cap of {MAX_VERTICES}")
+    if per_vertex * n > MAX_VERTICES:
+        raise CapacityError(f"{per_vertex * n} vertices exceed the bitmask cap of {MAX_VERTICES}")
+    return int(n)
 
 
 def _edges(pairs, weights: np.ndarray) -> tuple:
@@ -31,7 +33,7 @@ def _edges(pairs, weights: np.ndarray) -> tuple:
 
 def random_pm1_complete(n: int, seed: int) -> SignedWeightedGraph:
     """Complete graph on n vertices with independent uniform +/-1 weights."""
-    _check_n(n)
+    n = _check_n(n)
     pairs = list(combinations(range(1, n + 1), 2))
     weights = rng.signs(rng.draws(seed, 0, len(pairs)))
     return SignedWeightedGraph(n, _edges(pairs, weights))
@@ -45,7 +47,7 @@ def hadamard_instance(n: int) -> SignedWeightedGraph:
     orthogonal rows, which pins every cut weight of the whole graph inside
     [-n^{3/2}/sqrt(2), n^{3/2}/sqrt(2)].
     """
-    _check_n(n)
+    n = _check_n(n)
     edges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -56,13 +58,7 @@ def hadamard_instance(n: int) -> SignedWeightedGraph:
 
 def random_pm1_bipartite(n_per_side: int, seed: int) -> SignedWeightedGraph:
     """Complete bipartite graph between {1..m} and {m+1..2m} with uniform +/-1 weights."""
-    if not isinstance(n_per_side, int) or n_per_side < 1:
-        raise InputError(f"side size must be a positive integer, got {n_per_side!r}")
-    if 2 * n_per_side > MAX_VERTICES:
-        raise CapacityError(
-            f"2*{n_per_side} vertices exceed the bitmask cap of {MAX_VERTICES}"
-        )
-    m = n_per_side
+    m = _check_n(n_per_side, low=1, per_vertex=2)
     pairs = list(product(range(1, m + 1), range(m + 1, 2 * m + 1)))
     weights = rng.signs(rng.draws(seed, 0, len(pairs)))
     return SignedWeightedGraph(2 * m, _edges(pairs, weights))
@@ -74,7 +70,7 @@ def uniform_real_complete(n: int, seed: int) -> SignedWeightedGraph:
     An output with u exactly 1/2 would give a zero weight; it is skipped and
     the next output takes its edge.
     """
-    _check_n(n)
+    n = _check_n(n)
     pairs = list(combinations(range(1, n + 1), 2))
     weights = np.empty(0)
     used = 0
@@ -91,7 +87,7 @@ def random_signed_graph(n: int, seed: int) -> SignedWeightedGraph:
     One output per pair: the low bit decides presence (1 -> present), bit 1
     the sign (0 -> +1).
     """
-    _check_n(n)
+    n = _check_n(n)
     pairs = list(combinations(range(1, n + 1), 2))
     u = rng.draws(seed, 0, len(pairs))
     present = rng.bits(u) == 1.0
@@ -99,13 +95,13 @@ def random_signed_graph(n: int, seed: int) -> SignedWeightedGraph:
     return SignedWeightedGraph(n, _edges(kept, rng.signs(rng.shifted(u))[present]))
 
 
-def _check_signs(signs, count: int, what: str):
-    signs = tuple(float(s) for s in signs)
+def _check_signs(signs, count: int, what: str) -> tuple[float, ...]:
+    signs = tuple(signs)
     if len(signs) != count:
         raise InputError(f"{what} needs exactly {count} signs, got {len(signs)}")
-    if any(s not in (1.0, -1.0) for s in signs):
-        raise InputError(f"{what} signs must be +1 or -1, got {signs}")
-    return signs
+    if not all(_is_real(s) and s in (1.0, -1.0) for s in signs):
+        raise InputError(f"{what} signs must be the numbers +1 or -1, got {signs}")
+    return tuple(float(s) for s in signs)
 
 
 def signed_cycle(n: int, signs) -> SignedWeightedGraph:
@@ -114,7 +110,7 @@ def signed_cycle(n: int, signs) -> SignedWeightedGraph:
     signs[k] is the sign of the k-th edge along the traversal, i.e. edge
     {k+1, k+2} for k < n-1 and the closing edge {1, n} for k = n-1.
     """
-    _check_n(n, low=3)
+    n = _check_n(n, low=3)
     signs = _check_signs(signs, n, f"cycle on {n} vertices")
     edges = [(k + 1, k + 2, signs[k]) for k in range(n - 1)]
     edges.append((1, n, signs[n - 1]))
@@ -123,7 +119,7 @@ def signed_cycle(n: int, signs) -> SignedWeightedGraph:
 
 def signed_path(n: int, signs) -> SignedWeightedGraph:
     """Path 1-2-...-n with unit-magnitude signed weights; signs[k] is edge {k+1, k+2}."""
-    _check_n(n)
+    n = _check_n(n)
     signs = _check_signs(signs, n - 1, f"path on {n} vertices")
     edges = [(k + 1, k + 2, signs[k]) for k in range(n - 1)]
     return SignedWeightedGraph(n, tuple(edges))

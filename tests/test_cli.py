@@ -87,6 +87,21 @@ class TestGen:
         assert code == 0
         assert read_instance(out).num_edges == 15
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "hadamard", "--n", "4", "--seed", "3"],
+             "family 'hadamard' does not take --seed"),
+            (["--family", "random_pm1_complete", "--n", "4", "--seed", "1", "--signs=-"],
+             "family 'random_pm1_complete' does not take --signs"),
+        ],
+    )
+    def test_gen_rejects_a_flag_its_family_does_not_take(self, capsys, tmp_path, argv, message):
+        out = str(tmp_path / "x.json")
+        code, stdout, err = run_cli(capsys, "gen", *argv, "--out", out)
+        assert code == 1
+        assert stdout == "" and message in err
+        assert not os.path.exists(out)
 
     def test_signs_with_a_leading_minus(self, capsys, tmp_path):
         out = str(tmp_path / "c3.json")

@@ -461,6 +461,20 @@ class TestFindLargeCut:
         with pytest.raises(InputError):
             find_large_cut(TRIANGLE, rng_seed=0, trial_budget=0)
 
+    @pytest.mark.parametrize(
+        "seed, budget, message",
+        [(0, 2.5, "trial budget"), (0, True, "trial budget"),
+         (0, "10", "trial budget"), (0, None, "trial budget"), (1.5, 10, "seed"),
+         (True, 10, "seed"), ("1", 10, "seed")],
+    )
+    def test_rejects_non_integer_seed_and_budget(self, seed, budget, message):
+        with pytest.raises(InputError, match=message):
+            find_large_cut(TRIANGLE, rng_seed=seed, trial_budget=budget)
+
+    def test_numpy_integer_seed_and_budget(self):
+        g = random_pm1_complete(12, seed=3)
+        assert find_large_cut(g, np.int64(4), np.int32(7)) == find_large_cut(g, 4, 7)
+
     def test_pm1_complete_n20_all_seeds_meet(self):
         g = random_pm1_complete(20, seed=0)
         for seed in range(100):

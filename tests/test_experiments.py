@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from bilingap import experiments
 from bilingap.errors import CapacityError, InputError
 from bilingap.experiments import (
     CENSUS_CSV_FIELDS,
@@ -234,7 +235,48 @@ class TestCutfinderStress:
         assert [r.instance_seed for r in records] == [7, 8, 9, 10]
 
 
+    def test_instance_seeds_and_sizes(self):
+        cfg = ExperimentConfig(
+            kind="cutfinder_stress", n_min=3, n_max=5, num_instances=7, seed_base=7
+        )
+        records, _ = run_cutfinder_stress(cfg)
+        assert [(r.instance_seed, r.n) for r in records] == [
+            (7, 3), (8, 4), (9, 5), (10, 3), (11, 4), (12, 5), (13, 3),
+        ]
+
+
 class TestHullCensus:
+    def test_random_labels_follow_the_instance_rule(self):
+        cfg = ExperimentConfig(
+            kind="hull_census", n_min=3, n_max=5, num_instances=7, seed_base=7
+        )
+        records, _ = run_hull_census(cfg)
+        assert [r.instance_id for r in records if r.instance_id.startswith("random:")] == [
+            "random:n3:s7", "random:n4:s8", "random:n5:s9", "random:n3:s10",
+            "random:n4:s11", "random:n5:s12", "random:n3:s13",
+        ]
+        assert len(records) == (8 + 16 + 32) + (4 + 8 + 16) + 7  # cycles, paths, random
+
+    def test_generators_are_called_through_the_module(self, monkeypatch):
+        """A generator replaced on the experiments module is the one the census calls."""
+        calls = {}
+        for name in ("signed_cycle", "signed_path", "random_signed_graph"):
+            original = getattr(experiments, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(experiments, name, counted)
+        cfg = ExperimentConfig(kind="hull_census", n_min=2, n_max=4, num_instances=5)
+        records, _ = run_hull_census(cfg)
+        assert calls == {
+            "signed_cycle": 8 + 16,
+            "signed_path": 2 + 4 + 8,
+            "random_signed_graph": 5,
+        }
+        assert len(records) == sum(calls.values())
+
     def test_tiny_census_agrees(self):
         cfg = ExperimentConfig(kind="hull_census", n_min=3, n_max=4, num_instances=5)
         records, summary = run_hull_census(cfg)
@@ -246,6 +288,37 @@ class TestHullCensus:
         for rec in records:
             assert rec.exact == rec.numeric_exact
             assert rec.agree
+
+
+# one small config per kind
+SMALL_RUNS = {
+    "thm1_montecarlo": dict(n_min=5, n_max=5, num_instances=3),
+    "ratio_sweep": dict(n_min=3, n_max=5, num_instances=2),
+    "hadamard_ratio": dict(n_min=2, n_max=6),
+    "cutfinder_stress": dict(n_min=4, n_max=9, num_instances=4),
+    "hull_census": dict(n_min=3, n_max=4, num_instances=3),
+}
+
+
+class TestRecordLoop:
+    """What _stream adds to every kind: the summary's kind key and each record's wall time."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_kind_first_and_a_wall_time_per_record(self, kind, threads, tmp_path):
+        out = tmp_path / "run.jsonl"
+        cfg = ExperimentConfig(
+            kind=kind, output_path=str(out), output_format="json", threads=threads,
+            **SMALL_RUNS[kind],
+        )
+        records, summary = run_experiment(cfg)
+        lines = [json.loads(line) for line in read_text(out).splitlines()]
+        assert lines[-1] == {"summary": summary}
+        assert list(summary)[0] == "kind" and summary["kind"] == kind
+        assert len(lines) == len(records) + 2
+        for rec, line in zip(records, lines[1:-1]):
+            assert line == {"record": rec.to_dict()}
+            assert type(rec.wall_time_ms) is float and rec.wall_time_ms >= 0.0
 
 
 class TestRunExperimentAndOutput:

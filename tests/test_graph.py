@@ -79,6 +79,13 @@ class TestVertexSubset:
 
     def test_accepts_numpy_integers(self):
         assert VertexSubset.from_members([np.int64(3), np.uint8(1)]).mask == 0b101
+        mask = VertexSubset(np.int64(5)).mask
+        assert type(mask) is int and mask == 0b101
+
+    @pytest.mark.parametrize("mask", [1.5, 2.0, True, "3", None, np.float64(3.0)])
+    def test_rejects_a_non_integer_mask(self, mask):
+        with pytest.raises(InputError, match="mask must be an integer"):
+            VertexSubset(mask)
 
     def test_empty_is_falsy(self):
         assert not VertexSubset.from_members([])
@@ -126,6 +133,15 @@ class TestGraphConstruction:
     def test_rejects_bool_vertex_count(self):
         with pytest.raises(InputError):
             SignedWeightedGraph(True, ())
+
+    @pytest.mark.parametrize("n", [3.0, "3", None, np.float64(3.0), np.bool_(True), 0])
+    def test_rejects_a_non_integer_vertex_count(self, n):
+        with pytest.raises(InputError):
+            SignedWeightedGraph(n, ())
+
+    def test_numpy_vertex_count_becomes_int(self):
+        g = SignedWeightedGraph(np.int64(3), ((1, 3, 1.0),))
+        assert type(g.n) is int and g.n == 3
 
     def test_accepts_numpy_integers_and_floats(self):
         g = SignedWeightedGraph(3, ((np.int64(1), np.int32(3), np.float32(0.5)), (1, 2, 2)))

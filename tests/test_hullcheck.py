@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,23 @@ class TestRandomGraphInvariants:
         exact_d = check_hull_exact(signed_cycle(4, (1, 1, -1, -1))).to_json_dict()
         assert exact_d["violating_cycle"] is None
         assert all(isinstance(k, str) for k in exact_d["positive_coloring"])
+
+    def test_json_literal_output(self):
+        """The whole JSON text, key order included, of one failing and one exact instance."""
+
+        def as_text(g):
+            return json.dumps(check_hull_exact(g).to_json_dict())
+
+        assert as_text(TRIANGLE) == (
+            '{"exact": false, "positive_coloring": {"1": 0, "2": 0, "3": 0}, '
+            '"negative_coloring": null, "violating_cycle": [2, 1, 3], '
+            '"violating_cycle_edge_counts": {"positive": 3, "negative": 0}}'
+        )
+        assert as_text(signed_cycle(4, (1, 1, -1, -1))) == (
+            '{"exact": true, "positive_coloring": {"1": 0, "2": 0, "3": 0, "4": 1}, '
+            '"negative_coloring": {"1": 0, "2": 1, "3": 0, "4": 0}, '
+            '"violating_cycle": null, "violating_cycle_edge_counts": null}'
+        )
 
 
 class TestNumericVerification:

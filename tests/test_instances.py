@@ -137,6 +137,48 @@ class TestRandomPm1Bipartite:
         assert hits >= 45
 
 
+SEEDED = (random_pm1_complete, uniform_real_complete, random_signed_graph, random_pm1_bipartite)
+
+
+class TestNumberRule:
+    """Vertex counts and seeds are integers (numpy ones too); bools and floats are rejected."""
+
+    @pytest.mark.parametrize("generate", SEEDED)
+    @pytest.mark.parametrize("n", [True, 4.0, 4.5, "4", None, np.float64(4.0)])
+    def test_rejects_a_non_integer_vertex_count(self, generate, n):
+        with pytest.raises(InputError, match="vertex count must be an integer"):
+            generate(n, 0)
+
+    @pytest.mark.parametrize("generate", SEEDED)
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None])
+    def test_rejects_a_non_integer_seed(self, generate, seed):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            generate(4, seed)
+
+    @pytest.mark.parametrize("generate", SEEDED)
+    def test_numpy_integers_read_as_ints(self, generate):
+        g = generate(np.int64(4), np.uint32(9))
+        assert type(g.n) is int and g == generate(4, 9)
+
+    @pytest.mark.parametrize("generate", [hadamard_instance, lambda n: signed_path(n, (1,) * 3)])
+    @pytest.mark.parametrize("n", [True, 4.0, "4", None])
+    def test_rejects_a_non_integer_vertex_count_without_seed(self, generate, n):
+        with pytest.raises(InputError, match="vertex count must be an integer"):
+            generate(n)
+
+    @pytest.mark.parametrize(
+        "signs", [["1", "-1", "1"], [1, -1, True], [1.0, -1.0, np.bool_(True)], [1, -1, None]]
+    )
+    def test_cycle_rejects_non_number_signs(self, signs):
+        with pytest.raises(InputError, match="signs must be the numbers"):
+            signed_cycle(3, signs)
+
+    def test_numpy_signs_read_as_floats(self):
+        g = signed_cycle(3, np.array([1, -1, 1]))
+        assert g == signed_cycle(3, (1.0, -1.0, 1.0))
+        assert all(type(w) is float for _, _, w in g.edges)
+
+
 class TestCyclePath:
     def test_cycle_structure(self):
         g = signed_cycle(4, (1, 1, -1, -1))
@@ -204,6 +246,22 @@ class TestInstanceFamilies:
         assert code == 1
         assert f"requires --{arg}" in captured.err and captured.out == ""
         assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize(
+        "family, flag",
+        [(f, flag) for f, (_, arg) in INSTANCE_FAMILIES.items() for flag in ("seed", "signs")
+         if flag != arg],
+    )
+    def test_gen_rejects_a_flag_the_family_does_not_take(self, family, flag, tmp_path, capsys):
+        own, _ = self.CASES[family]
+        foreign = {"seed": ["--seed", "3"], "signs": ["--signs=+,+,+,+"]}[flag]
+        out = tmp_path / "g.json"
+        code = main(["gen", "--family", family, "--n", "4", *own, *foreign, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"family {family!r} does not take --{flag}" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert not out.exists()
 
 
 def _replay_uniform_real(n: int, outputs) -> dict:

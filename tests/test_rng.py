@@ -3,9 +3,11 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bilingap.errors import InputError
 from bilingap.rng import bits, draws, shifted, signs, units
 
 from conftest import splitmix64_reference
@@ -24,6 +26,17 @@ def test_known_answer_seed_zero():
 def test_draws_are_uint64_and_empty_blocks_work():
     assert draws(7, 0, 5).dtype == np.uint64
     assert draws(7, 10, 0).shape == (0,)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None, np.float64(1.0)])
+def test_rejects_a_non_integer_seed(seed):
+    with pytest.raises(InputError, match="seed must be an integer"):
+        draws(seed, 0, 3)
+
+
+def test_numpy_integer_seeds_are_their_int_value():
+    assert draws(np.int64(-1), 0, 3).tolist() == draws(2**64 - 1, 0, 3).tolist()
+    assert draws(np.uint64(2**64 - 1), 0, 3).tolist() == draws(-1, 0, 3).tolist()
 
 
 def test_determinism():
