@@ -151,11 +151,10 @@ def half_weight_partition(
     vertex 1 is in left.
     """
     n = g.n
-    adj = g.adjacency
-    incident = [0.0] * (n + 1)
-    for i, j, w in g.edges:
-        incident[i] += abs(w)
-        incident[j] += abs(w)
+    abs_w = np.abs(g.weight_matrix)
+    with np.errstate(over="ignore"):  # left to right, so an overflowing total is inf as before
+        incident = np.cumsum(abs_w, axis=1)[:, -1].tolist()
+    rows = abs_w.tolist()  # a zero entry (no edge) leaves to_cross unchanged
     side = [0] * (n + 1)
     to_cross = [0.0] * (n + 1)  # |weight| from v to the opposite side
     move_cap = n * max(1, g.num_edges) + n + 1
@@ -165,19 +164,13 @@ def half_weight_partition(
         changed = False
         for v in range(1, n + 1):
             if 2.0 * to_cross[v] < incident[v]:
-                side[v] ^= 1
+                sv = side[v] = side[v] ^ 1
                 to_cross[v] = incident[v] - to_cross[v]
-                for u, w in adj[v]:
-                    if side[u] == side[v]:
-                        to_cross[u] -= abs(w)
-                    else:
-                        to_cross[u] += abs(w)
+                to_cross = [t - a if s == sv else t + a for t, a, s in zip(to_cross, rows[v], side)]
                 moves += 1
                 changed = True
-    anchor = side[1] if n >= 1 else 0
-    left = VertexSubset.from_members(v for v in range(1, n + 1) if side[v] == anchor)
-    right = VertexSubset.from_members(v for v in range(1, n + 1) if side[v] != anchor)
-    return left, right
+    left = VertexSubset.from_members(v for v in range(1, n + 1) if side[v] == side[1])
+    return left, g.vertices.difference(left)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count, islice
+from operator import lt
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -129,13 +131,79 @@ def ascii_float(token: str) -> float:
     return float(token)
 
 
+def _first(flags: Iterable) -> int | None:
+    """Index of the first true flag, or None."""
+    return next(compress(count(), flags), None)
+
+
+def _first_raising(f: Callable, values: Iterable, errors) -> int | None:
+    """Index of the first value on which f raises one of errors, or None."""
+    for k, v in enumerate(values):
+        try:
+            f(v)
+        except errors:
+            return k
+    return None
+
+
+def _canonical_columns(n: int, edges: tuple) -> tuple[tuple, tuple, tuple]:
+    """Checked (i, j, weight) columns of an edge list, sorted by (i, j).
+
+    Each check runs over whole columns, and an edge that fails one ends the
+    edges (stop) that the later checks count.  So a bad list raises what a
+    per-edge loop would: its first bad edge, at the first check it fails.
+    """
+    stop, fault = len(edges), None
+
+    def cut(k, message):  # no annotations: a nested def would build them on every call
+        nonlocal stop, fault
+        if k is not None and k < stop:
+            stop, fault = k, message(k)
+
+    try:
+        i, j, w = zip(*edges, strict=True)
+    except (TypeError, ValueError):  # no edges, or some edge is not a triple
+        unpack = lambda e: tuple(zip(range(3), e, strict=True))  # fails where i, j, w = e does
+        cut(_first_raising(unpack, edges, (TypeError, ValueError)),
+            lambda k: f"edge {edges[k]!r} is not an (i, j, weight) triple")
+        i, j, w = tuple(zip(*edges[:stop])) or ((), (), ())
+    if {*map(type, i), *map(type, j)} != {int}:
+        cut(_first(not (_is_int(a) and _is_int(b)) for a, b in zip(i, j)),
+            lambda k: f"edge {edges[k]!r}: vertex indices must be integers")
+        i, j = tuple(map(int, i[:stop])), tuple(map(int, j[:stop]))
+    w = w[:stop]
+    if {*map(type, w)} != {float}:
+        cut(_first(not _is_real(v) for v in w),
+            lambda k: f"edge {edges[k]!r}: weight must be a real number")
+        cut(_first_raising(float, w[:stop], OverflowError),
+            lambda k: f"edge {edges[k]!r} has a weight beyond the float range")
+        w = tuple(map(float, w[:stop]))
+    pair = lambda k: f"edge ({i[k]}, {j[k]})"
+    if i and not (min(i) >= 1 and max(j) <= n and all(map(lt, i, j))):
+        cut(_first(not 1 <= a < b <= n for a, b in zip(i, j)),
+            lambda k: f"{pair(k)} must satisfy 1 <= i < j <= {n}")
+    if not (all(w) and all(map(math.isfinite, w))):  # a zero weight is false
+        cut(_first(not (v and math.isfinite(v)) for v in w),
+            lambda k: f"{pair(k)} has zero weight; omit absent edges" if w[k] == 0.0
+            else f"{pair(k)} has non-finite weight {w[k]!r}")
+    pairs = list(zip(i[:stop], j[:stop]))
+    ascending = all(map(lt, pairs, islice(pairs, 1, None)))
+    if not ascending and len(set(pairs)) < len(pairs):
+        seen: set[tuple] = set()  # seen.add returns None, so a pair is true once seen
+        cut(_first(p in seen or seen.add(p) for p in pairs), lambda k: f"duplicate {pair(k)}")
+    if fault is not None:
+        raise InputError(fault)
+    return (i, j, w) if ascending else tuple(zip(*sorted(zip(i, j, w))))
+
+
 @dataclass(frozen=True)
 class SignedWeightedGraph:
     """Simple undirected graph with nonzero real edge weights.
 
     Edges are stored canonically as (i, j, weight) with 1 <= i < j <= n, sorted
-    lexicographically.  Construction validates the whole edge list; instances
-    are immutable afterwards.
+    lexicographically.  Construction validates the whole edge list and builds
+    weight_matrix, the read-only dense symmetric (n+1, n+1) weight matrix with
+    zero diagonal (row and column 0 unused); instances are immutable afterwards.
     """
 
     n: int
@@ -149,33 +217,17 @@ class SignedWeightedGraph:
                 f"vertex count {self.n} exceeds the bitmask cap of {MAX_VERTICES}"
             )
         object.__setattr__(self, "n", int(self.n))
-        canon = []
-        seen = set()
-        for e in self.edges:
-            try:
-                i, j, w = e
-            except (TypeError, ValueError):
-                raise InputError(f"edge {e!r} is not an (i, j, weight) triple") from None
-            if not (_is_int(i) and _is_int(j)):
-                raise InputError(f"edge {e!r}: vertex indices must be integers")
-            if not _is_real(w):
-                raise InputError(f"edge {e!r}: weight must be a real number")
-            try:
-                i, j, w = int(i), int(j), float(w)
-            except OverflowError:
-                raise InputError(f"edge {e!r} has a weight beyond the float range") from None
-            if not 1 <= i < j <= self.n:
-                raise InputError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= {self.n}")
-            if w == 0.0:
-                raise InputError(f"edge ({i}, {j}) has zero weight; omit absent edges")
-            if not math.isfinite(w):
-                raise InputError(f"edge ({i}, {j}) has non-finite weight {w!r}")
-            if (i, j) in seen:
-                raise InputError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            canon.append((i, j, w))
-        canon.sort(key=lambda e: (e[0], e[1]))
-        object.__setattr__(self, "edges", tuple(canon))
+        i, j, w = _canonical_columns(self.n, tuple(self.edges))
+        object.__setattr__(self, "edges", tuple(zip(i, j, w)))
+        i, j, w = cols = (np.fromiter(i, np.int64), np.fromiter(j, np.int64), np.fromiter(w, float))
+        object.__setattr__(self, "_columns", cols)  # the edges as numpy columns
+        # Built here, in the thread that builds the graph: fancy assignment releases the
+        # GIL, and built lazily in a pool worker each small graph waits to get it back.
+        matrix = np.zeros((self.n + 1, self.n + 1))
+        matrix[i, j] = w
+        matrix[j, i] = w
+        matrix.setflags(write=False)
+        object.__setattr__(self, "weight_matrix", matrix)
 
     @property
     def vertices(self) -> VertexSubset:
@@ -187,33 +239,25 @@ class SignedWeightedGraph:
 
     @cached_property
     def total_abs_weight(self) -> float:
-        return ordered_sum(abs(w) for _, _, w in self.edges)
+        """Left-to-right total of |weight| in edge order, as ordered_sum adds."""
+        with np.errstate(over="ignore"):  # a total beyond the float range is inf
+            return float(np.cumsum(np.abs(self._columns[2]))[-1]) if self.edges else 0.0
 
     @cached_property
     def pair_masks(self) -> tuple[tuple[int, float], ...]:
         """(bitmask of the two endpoints, weight) per edge, in edge order."""
-        return tuple(((1 << i - 1) | (1 << j - 1), w) for i, j, w in self.edges)
+        i, j, w = self._columns
+        return tuple(zip(((1 << i - 1) | (1 << j - 1)).tolist(), w.tolist()))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """adjacency[v] lists (neighbor, weight) pairs, neighbors ascending; index 0 unused."""
+        # edges run in (i, j) order, so each list fills in ascending order
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n + 1)]
         for i, j, w in self.edges:
             adj[i].append((j, w))
             adj[j].append((i, w))
-        for lst in adj:
-            lst.sort()
-        return tuple(tuple(lst) for lst in adj)
-
-    @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric (n+1, n+1) weight matrix with zero diagonal; row/col 0 unused."""
-        m = np.zeros((self.n + 1, self.n + 1))
-        for i, j, w in self.edges:
-            m[i, j] = w
-            m[j, i] = w
-        m.setflags(write=False)
-        return m
+        return tuple(map(tuple, adj))
 
     def weight(self, i: int, j: int) -> float:
         """Weight of edge {i, j}, or 0.0 if absent."""

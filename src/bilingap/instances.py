@@ -7,6 +7,7 @@ from (family, n, seed) alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations, compress, product
 
@@ -26,17 +27,18 @@ def _check_n(n: int, low: int = 2, per_vertex: int = 1) -> int:
     return int(n)
 
 
-def _edges(pairs, weights: np.ndarray) -> tuple:
-    """(i, j, w) triples zipping vertex pairs with a float64 weight array."""
-    return tuple((i, j, w) for (i, j), w in zip(pairs, weights.tolist()))
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(i, j) columns of the vertex pairs i < j of 1..n, n >= 2, in lexicographic order."""
+    return tuple(zip(*combinations(range(1, n + 1), 2)))
 
 
 def random_pm1_complete(n: int, seed: int) -> SignedWeightedGraph:
     """Complete graph on n vertices with independent uniform +/-1 weights."""
     n = _check_n(n)
-    pairs = list(combinations(range(1, n + 1), 2))
-    weights = rng.signs(rng.draws(seed, 0, len(pairs)))
-    return SignedWeightedGraph(n, _edges(pairs, weights))
+    ends = _pairs(n)
+    weights = rng.signs(rng.draws(seed, 0, len(ends[0])))
+    return SignedWeightedGraph(n, tuple(zip(*ends, weights.tolist())))
 
 
 def hadamard_instance(n: int) -> SignedWeightedGraph:
@@ -48,20 +50,17 @@ def hadamard_instance(n: int) -> SignedWeightedGraph:
     [-n^{3/2}/sqrt(2), n^{3/2}/sqrt(2)].
     """
     n = _check_n(n)
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            parity = ((i - 1) & (j - 1)).bit_count() & 1
-            edges.append((i, j, -1.0 if parity else 1.0))
-    return SignedWeightedGraph(n, tuple(edges))
+    ends = _pairs(n)
+    signs = [(1.0, -1.0)[((i - 1) & (j - 1)).bit_count() & 1] for i, j in zip(*ends)]
+    return SignedWeightedGraph(n, tuple(zip(*ends, signs)))
 
 
 def random_pm1_bipartite(n_per_side: int, seed: int) -> SignedWeightedGraph:
     """Complete bipartite graph between {1..m} and {m+1..2m} with uniform +/-1 weights."""
     m = _check_n(n_per_side, low=1, per_vertex=2)
-    pairs = list(product(range(1, m + 1), range(m + 1, 2 * m + 1)))
-    weights = rng.signs(rng.draws(seed, 0, len(pairs)))
-    return SignedWeightedGraph(2 * m, _edges(pairs, weights))
+    ends = tuple(zip(*product(range(1, m + 1), range(m + 1, 2 * m + 1))))
+    weights = rng.signs(rng.draws(seed, 0, m * m))
+    return SignedWeightedGraph(2 * m, tuple(zip(*ends, weights.tolist())))
 
 
 def uniform_real_complete(n: int, seed: int) -> SignedWeightedGraph:
@@ -71,14 +70,14 @@ def uniform_real_complete(n: int, seed: int) -> SignedWeightedGraph:
     the next output takes its edge.
     """
     n = _check_n(n)
-    pairs = list(combinations(range(1, n + 1), 2))
+    ends = _pairs(n)
     weights = np.empty(0)
     used = 0
-    while len(weights) < len(pairs):
-        block = 2.0 * rng.units(rng.draws(seed, used, len(pairs) - len(weights))) - 1.0
+    while len(weights) < len(ends[0]):
+        block = 2.0 * rng.units(rng.draws(seed, used, len(ends[0]) - len(weights))) - 1.0
         used += len(block)
         weights = np.concatenate((weights, block[block != 0.0]))
-    return SignedWeightedGraph(n, _edges(pairs, weights))
+    return SignedWeightedGraph(n, tuple(zip(*ends, weights.tolist())))
 
 
 def random_signed_graph(n: int, seed: int) -> SignedWeightedGraph:
@@ -88,20 +87,26 @@ def random_signed_graph(n: int, seed: int) -> SignedWeightedGraph:
     the sign (0 -> +1).
     """
     n = _check_n(n)
-    pairs = list(combinations(range(1, n + 1), 2))
-    u = rng.draws(seed, 0, len(pairs))
+    ends = _pairs(n)
+    u = rng.draws(seed, 0, len(ends[0]))
     present = rng.bits(u) == 1.0
-    kept = list(compress(pairs, present.tolist()))
-    return SignedWeightedGraph(n, _edges(kept, rng.signs(rng.shifted(u))[present]))
+    kept = present.tolist()
+    weights = rng.signs(rng.shifted(u))[present]
+    return SignedWeightedGraph(n, tuple(zip(*(compress(c, kept) for c in ends), weights.tolist())))
 
 
 def _check_signs(signs, count: int, what: str) -> tuple[float, ...]:
-    signs = tuple(signs)
+    try:
+        signs = tuple(signs)
+    except TypeError:
+        raise InputError(f"{what} needs a sequence of {count} signs, got {signs!r}") from None
     if len(signs) != count:
         raise InputError(f"{what} needs exactly {count} signs, got {len(signs)}")
+    if {*map(type, signs)} <= {float} and {*signs} <= {1.0, -1.0}:  # float signs, as sets
+        return signs
     if not all(_is_real(s) and s in (1.0, -1.0) for s in signs):
         raise InputError(f"{what} signs must be the numbers +1 or -1, got {signs}")
-    return tuple(float(s) for s in signs)
+    return tuple(map(float, signs))
 
 
 def signed_cycle(n: int, signs) -> SignedWeightedGraph:
@@ -112,8 +117,8 @@ def signed_cycle(n: int, signs) -> SignedWeightedGraph:
     """
     n = _check_n(n, low=3)
     signs = _check_signs(signs, n, f"cycle on {n} vertices")
-    edges = [(k + 1, k + 2, signs[k]) for k in range(n - 1)]
-    edges.append((1, n, signs[n - 1]))
+    edges = list(zip(range(1, n), range(2, n + 1), signs))
+    edges.insert(1, (1, n, signs[n - 1]))  # edge order: {1, n} sorts right after {1, 2}
     return SignedWeightedGraph(n, tuple(edges))
 
 
@@ -121,8 +126,7 @@ def signed_path(n: int, signs) -> SignedWeightedGraph:
     """Path 1-2-...-n with unit-magnitude signed weights; signs[k] is edge {k+1, k+2}."""
     n = _check_n(n)
     signs = _check_signs(signs, n - 1, f"path on {n} vertices")
-    edges = [(k + 1, k + 2, signs[k]) for k in range(n - 1)]
-    return SignedWeightedGraph(n, tuple(edges))
+    return SignedWeightedGraph(n, tuple(zip(range(1, n), range(2, n + 1), signs)))
 
 
 # family -> (generator, the argument it takes after n: "seed", "signs" or None).

@@ -31,7 +31,14 @@ from bilingap.graph import (
     gamma_abs_weight,
     gamma_weight,
 )
-from bilingap.instances import hadamard_instance, random_pm1_complete
+from bilingap.instances import (
+    hadamard_instance,
+    random_pm1_complete,
+    random_signed_graph,
+    signed_cycle,
+    signed_path,
+    uniform_real_complete,
+)
 
 from conftest import enumerate_cut_values, oracle_mu, random_int_graph, splitmix64_reference
 
@@ -244,6 +251,46 @@ class TestBruteforceAgainstOracle:
         assert fn == pytest.approx(-mx, abs=1e-9)
 
 
+def _partition_reference(g: SignedWeightedGraph) -> tuple[VertexSubset, VertexSubset]:
+    """The adjacency-tuple sweep that half_weight_partition replaces."""
+    n = g.n
+    incident = [0.0] * (n + 1)
+    for i, j, w in g.edges:
+        incident[i] += abs(w)
+        incident[j] += abs(w)
+    side = [0] * (n + 1)
+    to_cross = [0.0] * (n + 1)
+    move_cap = n * max(1, g.num_edges) + n + 1
+    moves = 0
+    changed = True
+    while changed and moves <= move_cap:
+        changed = False
+        for v in range(1, n + 1):
+            if 2.0 * to_cross[v] < incident[v]:
+                side[v] ^= 1
+                to_cross[v] = incident[v] - to_cross[v]
+                for u, w in g.adjacency[v]:
+                    if side[u] == side[v]:
+                        to_cross[u] -= abs(w)
+                    else:
+                        to_cross[u] += abs(w)
+                moves += 1
+                changed = True
+    left = VertexSubset.from_members(v for v in range(1, n + 1) if side[v] == side[1])
+    return left, g.vertices.difference(left)
+
+
+def _partition_cases():
+    signs = random.Random(5)
+    for n in range(2, 51):
+        yield random_pm1_complete(n, n)
+        yield uniform_real_complete(n, n)
+        yield random_signed_graph(n, n)
+        yield signed_path(n, [signs.choice((-1, 1)) for _ in range(n - 1)])
+        if n >= 3:
+            yield signed_cycle(n, [signs.choice((-1, 1)) for _ in range(n)])
+
+
 class TestHalfWeightPartition:
     def test_path_example(self):
         g = SignedWeightedGraph(3, ((1, 2, 3.0), (2, 3, -4.0)))
@@ -277,6 +324,16 @@ class TestHalfWeightPartition:
         )
         # integer weights so the half-total comparison is exact in floats
         assert 2.0 * crossing >= g.total_abs_weight
+
+    def test_matches_the_adjacency_sweep(self):
+        for g in _partition_cases():
+            left, right = half_weight_partition(g)
+            want = _partition_reference(g)
+            assert (left.mask, right.mask) == (want[0].mask, want[1].mask), g.n
+            crossing = math.fsum(
+                abs(w) for i, j, w in g.edges if (i in left) != (j in left)
+            )
+            assert 2.0 * crossing >= math.fsum(abs(w) for _, _, w in g.edges)
 
 
 class TestAllSubsetTables:

@@ -17,6 +17,8 @@ from bilingap.graph import (
     Cut,
     SignedWeightedGraph,
     VertexSubset,
+    _is_int,
+    _is_real,
     ascii_float,
     ascii_int,
     cross_weight,
@@ -167,6 +169,135 @@ class TestGraphConstruction:
     def test_weight_matrix_immutable(self):
         with pytest.raises(ValueError):
             MIXED.weight_matrix[1, 2] = 9.0
+
+
+def _construction_reference(n: int, edges) -> dict:
+    """The per-edge construction loop that the column checks replace, with its derived fields."""
+    canon = []
+    seen = set()
+    for e in edges:
+        try:
+            i, j, w = e
+        except (TypeError, ValueError):
+            raise InputError(f"edge {e!r} is not an (i, j, weight) triple") from None
+        if not (_is_int(i) and _is_int(j)):
+            raise InputError(f"edge {e!r}: vertex indices must be integers")
+        if not _is_real(w):
+            raise InputError(f"edge {e!r}: weight must be a real number")
+        try:
+            i, j, w = int(i), int(j), float(w)
+        except OverflowError:
+            raise InputError(f"edge {e!r} has a weight beyond the float range") from None
+        if not 1 <= i < j <= n:
+            raise InputError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= {n}")
+        if w == 0.0:
+            raise InputError(f"edge ({i}, {j}) has zero weight; omit absent edges")
+        if not math.isfinite(w):
+            raise InputError(f"edge ({i}, {j}) has non-finite weight {w!r}")
+        if (i, j) in seen:
+            raise InputError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+        canon.append((i, j, w))
+    canon.sort(key=lambda e: (e[0], e[1]))
+    matrix = np.zeros((n + 1, n + 1))
+    adj = [[] for _ in range(n + 1)]
+    total = 0.0
+    for i, j, w in canon:
+        matrix[i, j] = matrix[j, i] = w
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+        total += abs(w)
+    return {
+        "edges": tuple(canon),
+        "weight_matrix": matrix,
+        "pair_masks": tuple(((1 << i - 1) | (1 << j - 1), w) for i, j, w in canon),
+        "adjacency": tuple(tuple(sorted(a)) for a in adj),
+        "total_abs_weight": total,
+    }
+
+
+def _random_edge_list(rng: random.Random) -> tuple[int, list]:
+    """Shuffled edges on 1..n, n <= 63, as tuples or lists of Python and numpy numbers."""
+    n = rng.randint(1, 63)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    count = len(pairs) if rng.random() < 0.2 else rng.randint(0, min(len(pairs), 300))
+    edges = []
+    for i, j in rng.sample(pairs, count):
+        w = rng.choice(
+            (rng.uniform(-1.0, 1.0), rng.choice((-1.0, 1.0)), rng.uniform(-1.0, 1.0) * 1e308,
+             rng.choice((-3, 2, 7)), 10.0 ** rng.randint(-300, 300))
+        ) or 0.5
+        if rng.random() < 0.2:
+            i, j = np.int64(i), rng.choice((np.int32, np.int64, int))(j)
+        if rng.random() < 0.2:
+            w = rng.choice((np.float64, np.float32 if 1e-30 < abs(w) < 1e30 else float, float))(w)
+        edges.append(rng.choice((tuple, list))((i, j, w)))
+    return n, edges
+
+
+# Faults for one edge on vertex pair (i, j) of a graph on n vertices; "duplicate"
+# repeats the pair of the graph's first edge.
+_FAULTS = {
+    "not a triple": lambda i, j, n: (i, j),
+    "not iterable": lambda i, j, n: 7,
+    "float index": lambda i, j, n: (float(i), j, 1.0),
+    "bool index": lambda i, j, n: (True, j, 1.0),
+    "string weight": lambda i, j, n: (i, j, "1.5"),
+    "numpy bool weight": lambda i, j, n: (i, j, np.bool_(True)),
+    "huge weight": lambda i, j, n: (i, j, 10**400),
+    "reversed": lambda i, j, n: (j, i, 1.0),
+    "beyond n": lambda i, j, n: (i, n + 1, 1.0),
+    "huge index": lambda i, j, n: (i, 2**70, 1.0),
+    "zero": lambda i, j, n: (i, j, 0.0),
+    "infinite": lambda i, j, n: (i, j, -math.inf),
+    "nan": lambda i, j, n: (np.int64(i), j, np.float64(math.nan)),
+    "reversed and zero": lambda i, j, n: (j, i, 0.0),
+    "float index and zero": lambda i, j, n: (float(i), j, 0.0),
+    "duplicate": None,
+}
+
+
+class TestColumnConstruction:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_per_edge_loop(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            n, edges = _random_edge_list(rng)
+            g = SignedWeightedGraph(n, tuple(edges))
+            ref = _construction_reference(n, edges)
+            assert g.edges == ref["edges"]
+            assert [type(v) for e in g.edges for v in e] == [int, int, float] * g.num_edges
+            assert g.weight_matrix.tobytes() == ref["weight_matrix"].tobytes()
+            assert g.pair_masks == ref["pair_masks"]
+            assert g.adjacency == ref["adjacency"]
+            assert g.total_abs_weight.hex() == ref["total_abs_weight"].hex()
+
+    def test_total_beyond_the_float_range_is_inf(self):
+        g = SignedWeightedGraph(3, ((1, 2, 1e308), (2, 3, -1e308), (1, 3, 1e308)))
+        assert g.total_abs_weight == math.inf
+
+    @pytest.mark.parametrize("first", list(_FAULTS))
+    def test_reports_the_first_bad_edge(self, first):
+        rng = random.Random(first)
+        n = 6
+        pairs = rng.sample([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)], 12)
+        valid = [(i, j, rng.choice((-1.0, 0.5, 2.0))) for i, j in pairs]
+
+        def fault(kind, k):
+            if kind == "duplicate":
+                return (*pairs[0], 3.0)
+            return _FAULTS[kind](*pairs[k], n)
+
+        for second in _FAULTS:
+            p = rng.randint(1, 5)
+            q = rng.randint(p + 1, len(valid) - 1)
+            edges = list(valid)
+            edges[p], edges[q] = fault(first, p), fault(second, q)
+            with pytest.raises(InputError) as want:
+                _construction_reference(n, edges)
+            with pytest.raises(InputError) as got:
+                SignedWeightedGraph(n, tuple(edges))
+            assert str(got.value) == str(want.value), (first, second)
 
 
 class TestCutType:

@@ -173,6 +173,11 @@ class TestNumberRule:
         with pytest.raises(InputError, match="signs must be the numbers"):
             signed_cycle(3, signs)
 
+    @pytest.mark.parametrize("generate, signs", [(signed_cycle, 5), (signed_path, None)])
+    def test_rejects_signs_that_are_not_a_sequence(self, generate, signs):
+        with pytest.raises(InputError, match=f"needs a sequence of [23] signs, got {signs}"):
+            generate(3, signs)
+
     def test_numpy_signs_read_as_floats(self):
         g = signed_cycle(3, np.array([1, -1, 1]))
         assert g == signed_cycle(3, (1.0, -1.0, 1.0))
