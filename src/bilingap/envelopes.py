@@ -161,8 +161,10 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
 
     Coordinates that are exactly 0 or 1 force every vertex of positive weight
     to agree there (their marginal constraints pin the combination), so the LP
-    is solved over the remaining fractional subcube with a dense primal
-    simplex under Bland's rule.  Capped at n <= LP_SIZE_CAP.
+    is solved over the remaining fractional subcube with the dense primal
+    simplex of bilingap.simplex, which certifies each side's value by weak
+    duality (InvariantViolationError if the certificate fails).  Capped at
+    n <= LP_SIZE_CAP.
     """
     _check_point(g, x)
     if g.n > LP_SIZE_CAP:

@@ -1,10 +1,12 @@
 """Dense primal simplex for equality-form LPs min c.x, A x = b, x >= 0.
 
 Built for the hypercube-vertex convex-combination LPs in this package: few
-rows (coordinate marginals plus a convexity row), up to 2^16 columns.  Uses
-Bland's anti-cycling rule throughout and a 1e-9 feasibility/optimality
-tolerance.  Each pivot is a row-normalized outer-product update in numpy;
-only the ratio test over the few rows runs as a Python loop.
+rows (coordinate marginals plus a convexity row), up to 2^16 columns.  Enters
+on the most negative reduced cost (Dantzig) and falls back to Bland's
+anti-cycling rule after a run of degenerate pivots; the tolerance is 1e-9.
+Each pivot is a row-normalized outer-product update in numpy; only the ratio
+test over the few rows runs as a Python loop.  Every optimum is certified by
+weak duality from the original data before it is returned.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 from .errors import InvariantViolationError
 
 TOLERANCE = 1e-9
+# Degenerate pivots in a row (min ratio <= tol) after which the pivot loop
+# enters by Bland's rule until it ends; Bland's rule cannot cycle.
+_DEGENERATE_RUN = 50
 
 # There is no JIT; kept because bench/run.py records it as ``simplex_jit``.
 HAVE_NUMBA = False
@@ -39,10 +44,14 @@ def sign_matrix(k: int) -> np.ndarray:
 
 
 def _pivot_loop(tab, basis, tol, max_iter):
-    """Run Bland-rule simplex pivots on an extended tableau in place.
+    """Run simplex pivots on an extended tableau in place.
 
     tab is (m+1, ncols+1): rows 0..m-1 the constraint rows (identity on the
-    basis columns), row m the reduced costs, last column the rhs.  Returns the
+    basis columns), row m the reduced costs, last column the rhs.  Enters on
+    the most negative reduced cost (Dantzig, lowest index on ties) until
+    _DEGENERATE_RUN pivots in a row leave the basic solution in place, then on
+    the lowest improving index (Bland) until the loop ends.  The leaving row
+    has the smallest ratio, ties to the smallest basic variable.  Returns the
     iteration count on optimality, -1 on the iteration cap, -2 if no pivot row
     exists (unbounded; impossible for these bounded LPs).
     """
@@ -50,11 +59,18 @@ def _pivot_loop(tab, basis, tol, max_iter):
     ncols = tab.shape[1] - 1
     costs = tab[m, :ncols]
     rhs_col = tab[:m, ncols]
+    run_limit = _DEGENERATE_RUN
+    run = 0
     for it in range(max_iter):
-        improving = costs < -tol
-        enter = improving.argmax()  # Bland: smallest improving index
-        if not improving[enter]:
-            return it
+        if run < run_limit:
+            enter = costs.argmin()  # Dantzig: most negative reduced cost
+            if costs[enter] >= -tol:
+                return it
+        else:
+            improving = costs < -tol
+            enter = improving.argmax()  # Bland: smallest improving index
+            if not improving[enter]:
+                return it
         leave = -1
         best = 0.0
         best_var = 0
@@ -69,6 +85,8 @@ def _pivot_loop(tab, basis, tol, max_iter):
                     best_var = basis[i]
         if leave == -1:
             return -2
+        if run < run_limit:
+            run = run + 1 if best <= tol else 0
         pivot_row = tab[leave]
         pivot_row /= pivot_row[enter]
         f = tab[:, enter].copy()
@@ -94,6 +112,32 @@ def start_tableau(a_mat: np.ndarray, b_vec: np.ndarray, basis) -> np.ndarray:
     return reduced
 
 
+def _certify(a_mat, b_vec, c_vec, basis, value) -> None:
+    """Prove value = min c.x over A x = b, x >= 0 by weak duality, or raise.
+
+    Solves B^T pi = c_B from the original a_mat, not from the pivoted
+    tableau, and checks that pi prices every column at >= -tol (one matvec)
+    and that pi.b equals value within tol; with the basic solution feasible,
+    no x does better than value - tol.  tol scales with max|c|, since
+    instance weights go up to 1e300.  Raises InvariantViolationError if a
+    check fails.
+    """
+    try:
+        pi = np.linalg.solve(a_mat[:, basis].T, c_vec[basis])
+    except np.linalg.LinAlgError as exc:
+        raise InvariantViolationError(f"singular final basis: {exc}") from None
+    slack = float((c_vec - pi @ a_mat).min())
+    gap = abs(float(pi @ b_vec) - value)
+    if slack >= -TOLERANCE and gap <= TOLERANCE:
+        return  # passes at the smallest tol; skips the max|c| pass
+    tol = TOLERANCE * max(1.0, float(np.abs(c_vec).max()))
+    if not (slack >= -tol and gap <= tol):
+        raise InvariantViolationError(
+            f"simplex optimum fails its dual certificate (dual slack {slack:.3g}, "
+            f"duality gap {gap:.3g}, tolerance {tol:.3g})"
+        )
+
+
 def solve_min(
     a_mat: np.ndarray,
     b_vec: np.ndarray,
@@ -106,7 +150,7 @@ def solve_min(
     basis lists the column indices of a feasible basis (nonsingular, basic
     solution >= 0).  reduced, if given, must be start_tableau(a_mat, b_vec,
     basis); it is read, never written.  Returns (optimal objective value,
-    optimal solution).
+    optimal solution); the value has passed the dual certificate of _certify.
     """
     m, ncols = a_mat.shape
     if reduced is None:
@@ -124,6 +168,9 @@ def solve_min(
     if status == -2:
         raise InvariantViolationError("simplex reported an unbounded direction on a bounded LP")
     # Recompute the objective from the final basic solution to shed pivot drift.
+    x_basic = tab[:m, ncols]
+    value = float(c_vec[basis] @ x_basic)
+    _certify(a_mat, b_vec, c_vec, basis, value)
     solution = np.zeros(ncols)
-    solution[basis] = tab[:m, ncols]
-    return float(c_vec[basis] @ tab[:m, ncols]), solution
+    solution[basis] = x_basic
+    return value, solution

@@ -6,13 +6,11 @@ tests compare two independent routes to the same quantity.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
 import pytest
 
-from bilingap.envelopes import EvaluationPoint
 from bilingap.graph import SignedWeightedGraph, VertexSubset
 
 
@@ -61,15 +59,15 @@ def oracle_mu(g: SignedWeightedGraph, x: VertexSubset) -> tuple[float, float]:
 
 
 def oracle_hull(g: SignedWeightedGraph, coords) -> tuple[float, float]:
-    """(cav, vex) at coords via scipy LP over all 2^n cube vertices."""
+    """(cav, vex) at coords via scipy's HiGHS over all 2^n cube vertices, costs built per edge."""
     from scipy.optimize import linprog
 
-    from bilingap.envelopes import evaluate_bilinear
-
     n = g.n
-    verts = list(itertools.product((0.0, 1.0), repeat=n))
-    c = np.array([evaluate_bilinear(g, EvaluationPoint.from_iterable(v)) for v in verts])
-    a_eq = np.vstack([np.ones(len(verts)), np.array(verts).T])
+    verts = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    c = np.zeros(1 << n)
+    for i, j, w in g.edges:
+        c += w * verts[:, i - 1] * verts[:, j - 1]
+    a_eq = np.vstack([np.ones(1 << n), verts.T])
     b_eq = np.concatenate([[1.0], np.asarray(coords, dtype=np.float64)])
     lo = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     hi = linprog(-c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")

@@ -215,7 +215,7 @@ class TestMaxcut:
 
     def test_capacity_exit_code(self, capsys, tmp_path):
         path = str(tmp_path / "big.json")
-        n = 27
+        n = cuts.ENUMERATION_CAP + 1
         edges = tuple((i, i + 1, 1.0) for i in range(1, n))
         write_instance(SignedWeightedGraph(n, edges), path)
         code, _, _ = run_cli(capsys, "maxcut", "--instance", path)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from bilingap.envelopes import (
     mccormick_envelopes,
     mcgap_halfpoint,
 )
-from bilingap import envelopes
+from bilingap import envelopes, simplex
 from bilingap.cli import main
 from bilingap.errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from bilingap.graph import SignedWeightedGraph, VertexSubset, gamma_weight, write_instance
@@ -174,12 +176,14 @@ class TestHullLp:
         calls = []
 
         def counted(a, b):
-            calls.append(a.shape)
+            calls.append((a.shape, b.shape))
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         cav, vex = hull_envelopes_lp(g, x)
-        assert calls == [(6, 6)]
+        # One start solve B^-1 [A | b] shared by both sides, then one dual
+        # solve B^T pi = c_B per side for its certificate.
+        assert calls == [((6, 6), (6, 33)), ((6, 6), (6,)), ((6, 6), (6,))]
         # Both sides give the same doubles as when each builds its own start.
         monkeypatch.setattr(
             envelopes, "solve_min", lambda a, b, c, basis, reduced: solve_min(a, b, c, basis)
@@ -210,6 +214,78 @@ class TestHullLp:
         ocav, ovex = oracle_hull(g, coords)
         assert cav == pytest.approx(ocav, abs=1e-7)
         assert vex == pytest.approx(ovex, abs=1e-7)
+
+    def test_certificate_fires_on_a_suboptimal_basis(self, monkeypatch, capsys, tmp_path):
+        g = random_int_graph(11, 5, edge_prob=0.9)
+        coords = (0.3, 0.45, 0.6, 0.15, 0.8)
+        x = EvaluationPoint.from_iterable(coords)
+        real_loop = simplex._pivot_loop
+        pivots = []
+
+        def counted(tab, basis, tol, max_iter):
+            pivots.append(real_loop(tab, basis, tol, max_iter))
+            return pivots[-1]
+
+        monkeypatch.setattr(simplex, "_pivot_loop", counted)
+        hull_envelopes_lp(g, x)
+        assert min(pivots) > 0  # the staircase start is not optimal on either side
+        # Stop at the start basis: its value is not the optimum, so the dual
+        # certificate must reject it.
+        monkeypatch.setattr(simplex, "_pivot_loop", lambda tab, basis, tol, max_iter: 0)
+        with pytest.raises(InvariantViolationError, match="dual certificate"):
+            hull_envelopes_lp(g, x)
+        path = str(tmp_path / "g.json")
+        write_instance(g, path)
+        point = ",".join(map(str, coords))
+        code = main(["eval", "--instance", path, "--point", point])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert "dual certificate" in err and "Traceback" not in err
+
+    def test_large_weights_certify(self, capsys, tmp_path):
+        # Rounding in the duals grows with |c| ~ 1e13 here, far above an
+        # absolute 1e-9; the certificate's tolerance scales with max|c|, so
+        # there is no spurious exit 3.
+        scale = 1.37e12
+        base = random_int_graph(5, 9, edge_prob=0.8)
+        g = SignedWeightedGraph(9, tuple((i, j, w * scale) for i, j, w in base.edges))
+        coords = (0.31, 0.5, 0.77, 0.12, 0.64, 0.5, 0.93, 0.28, 0.05)
+        cav, vex = hull_envelopes_lp(g, EvaluationPoint.from_iterable(coords))
+        ocav, ovex = oracle_hull(g, coords)
+        assert cav == pytest.approx(ocav, rel=1e-9, abs=1e-9 * scale)
+        assert vex == pytest.approx(ovex, rel=1e-9, abs=1e-9 * scale)
+        path = str(tmp_path / "big.json")
+        write_instance(g, path)
+        code = main(["eval", "--instance", path, "--point", ",".join(map(str, coords))])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert json.loads(out)["cav"] == cav
+
+    @pytest.mark.parametrize("f", range(3, 13))
+    @pytest.mark.parametrize("kind", ["general", "degenerate"])
+    def test_matches_highs_and_pure_bland(self, monkeypatch, f, kind):
+        rnd = random.Random(1000 * f + len(kind))
+        if kind == "general":
+            n = f
+            coords = [round(rnd.uniform(0.01, 0.99), 3) for _ in range(n)]
+        else:
+            # Halves make the LP degenerate; zeros and ones pin coordinates.
+            n = f + 2
+            coords = [rnd.choice((0.5, 0.5, round(rnd.uniform(0.01, 0.99), 2))) for _ in range(f)]
+            coords += [0.0, 1.0]
+            rnd.shuffle(coords)
+        g = random_int_graph(f, n, edge_prob=0.7)
+        x = EvaluationPoint.from_iterable(coords)
+        assert len(x.fractional_support.members) == f
+        cav, vex = hull_envelopes_lp(g, x)
+        ocav, ovex = oracle_hull(g, coords)
+        assert cav == pytest.approx(ocav, abs=1e-9)
+        assert vex == pytest.approx(ovex, abs=1e-9)
+        monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 0)
+        bcav, bvex = hull_envelopes_lp(g, x)
+        assert cav == pytest.approx(bcav, abs=1e-9)
+        assert vex == pytest.approx(bvex, abs=1e-9)
 
 
 class TestEnvelopesHalfpoint:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilingap import simplex
 from bilingap.envelopes import _staircase_basis
 from bilingap.errors import InvariantViolationError
 from bilingap.simplex import _pivot_loop, bit_matrix, sign_matrix, solve_min
@@ -63,6 +64,21 @@ def test_infeasible_basis_rejected():
         _solve_with_basis([[1.0, 1.0]], [-1.0], [1.0, 1.0], [0])
 
 
+def test_certificate_rejects_a_drifted_value(monkeypatch):
+    # Optimal basis, but the basic solution is scaled off A x = b: the duals
+    # stay feasible, so only the duality-gap check can catch the value.
+    real_loop = simplex._pivot_loop
+
+    def drifted(tab, basis, tol, max_iter):
+        status = real_loop(tab, basis, tol, max_iter)
+        tab[:-1, -1] *= 1.001
+        return status
+
+    monkeypatch.setattr(simplex, "_pivot_loop", drifted)
+    with pytest.raises(InvariantViolationError, match="dual slack 0, duality gap 0.002"):
+        _solve_with_basis([[1.0, 1.0, 1.0]], [1.0], [3.0, -2.0, 5.0], [0])
+
+
 def test_caller_basis_not_mutated():
     a = [[1.0, 1.0, 1.0]]
     b = [1.0]
@@ -119,16 +135,26 @@ def test_matches_scipy_on_random_feasible_lps(problem):
     assert np.all(sol >= -1e-9)
 
 
-def _elementwise_pivot_loop(tab, basis, tol, max_iter):
-    """Reference Bland-rule pivot loop, one tableau entry at a time."""
+def _elementwise_pivot_loop(tab, basis, tol, max_iter, degenerate_run):
+    """Reference pivot loop, one tableau entry at a time.
+
+    Dantzig entering until degenerate_run pivots in a row have a min ratio
+    <= tol, then Bland entering to the end; degenerate_run = 0 is pure Bland.
+    """
     m = tab.shape[0] - 1
     ncols = tab.shape[1] - 1
+    run = 0
     for it in range(max_iter):
         enter = -1
-        for j in range(ncols):
-            if tab[m, j] < -tol:  # Bland: smallest improving index
-                enter = j
-                break
+        if run < degenerate_run:
+            for j in range(ncols):  # Dantzig: most negative, first on ties
+                if tab[m, j] < -tol and (enter == -1 or tab[m, j] < tab[m, enter]):
+                    enter = j
+        else:
+            for j in range(ncols):
+                if tab[m, j] < -tol:  # Bland: smallest improving index
+                    enter = j
+                    break
         if enter == -1:
             return it
         leave = -1
@@ -146,6 +172,8 @@ def _elementwise_pivot_loop(tab, basis, tol, max_iter):
                     best_var = basis[i]
         if leave == -1:
             return -2
+        if run < degenerate_run:
+            run = run + 1 if best <= tol else 0
         piv = tab[leave, enter]
         for j in range(ncols + 1):
             tab[leave, j] /= piv
@@ -179,14 +207,13 @@ def test_pivot_loop_matches_elementwise_reference():
     tab = _start_tableau(a, b, c, basis)
     tab2, basis2 = tab.copy(), basis.copy()
     it1 = _pivot_loop(tab, basis, 1e-9, 1000)
-    it2 = _elementwise_pivot_loop(tab2, basis2, 1e-9, 1000)
+    it2 = _elementwise_pivot_loop(tab2, basis2, 1e-9, 1000, simplex._DEGENERATE_RUN)
     assert it1 == it2
     assert basis.tolist() == basis2.tolist()
     assert np.allclose(tab, tab2, atol=1e-12)
 
 
-@pytest.mark.parametrize("xs", [[0.5, 0.5, 0.5, 0.5, 0.5], [0.3, 0.5, 0.9, 0.1, 0.5]])
-def test_pivot_loop_matches_elementwise_reference_on_vertex_lp(xs):
+def _assert_vertex_lp_matches_reference(xs, run):
     # Hull-LP shape: coordinate marginals plus convexity over the 2^5 cube
     # vertices, from the staircase basis.  Half coordinates make it degenerate,
     # so the ratio-test tie rule decides pivots.
@@ -197,7 +224,25 @@ def test_pivot_loop_matches_elementwise_reference_on_vertex_lp(xs):
     tab = _start_tableau(a, np.append(xs, 1.0), c, basis)
     tab2, basis2 = tab.copy(), basis.copy()
     it1 = _pivot_loop(tab, basis, 1e-9, 1000)
-    it2 = _elementwise_pivot_loop(tab2, basis2, 1e-9, 1000)
+    it2 = _elementwise_pivot_loop(tab2, basis2, 1e-9, 1000, run)
     assert it1 == it2 > 1
     assert basis.tolist() == basis2.tolist()
     assert np.array_equal(tab, tab2)
+
+
+VERTEX_POINTS = [[0.5, 0.5, 0.5, 0.5, 0.5], [0.3, 0.5, 0.9, 0.1, 0.5]]
+
+
+@pytest.mark.parametrize("xs", VERTEX_POINTS)
+def test_pivot_loop_matches_elementwise_reference_on_vertex_lp(xs):
+    _assert_vertex_lp_matches_reference(xs, simplex._DEGENERATE_RUN)
+
+
+@pytest.mark.parametrize("run", [0, 1, 2])
+@pytest.mark.parametrize("xs", VERTEX_POINTS)
+def test_bland_fallback_matches_elementwise_reference(monkeypatch, xs, run):
+    # The fallback never fires on the seeded hull LPs, so force it: run = 0 is
+    # pure Bland from the start, 1 and 2 switch after the first degenerate
+    # pivots (at the all-half point both take paths unlike pure Dantzig's).
+    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", run)
+    _assert_vertex_lp_matches_reference(xs, run)
