@@ -229,7 +229,7 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=ascii_int, default=None, help="cut-finder trial budget")
     p.add_argument("--out", default=None, help="record output file")
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--threads", type=ascii_int, default=None, help="worker threads (default 1)")
+    p.add_argument("--threads", type=ascii_int, default=None, help="1..64, recorded only; runs are serial")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from itertools import compress
 
@@ -352,15 +351,6 @@ def _build_pair_chunks(n: int) -> tuple[_PairChunk, ...]:
     return tuple(chunks)
 
 
-_pair_chunks_lock = threading.Lock()
-
-
-def _pair_chunks(n: int) -> tuple[_PairChunk, ...]:
-    # One build per n even when pool threads ask for the same n at once.
-    with _pair_chunks_lock:
-        return _build_pair_chunks(n)
-
-
 def all_subset_cut_extremes(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(max, min) signed cut weight of every induced subgraph, indexed by subset mask.
 
@@ -377,7 +367,7 @@ def all_subset_cut_extremes(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndar
     gam = all_subset_gamma(g)
     mu_plus = np.empty(1 << n)
     mu_minus = np.empty(1 << n)
-    for c in _pair_chunks(n):
+    for c in _build_pair_chunks(n):
         val = np.repeat(gam[c.xs], c.reps) - gam[c.sub]
         val -= gam[c.rest]
         mu_plus[c.xs] = np.fmax.reduceat(val, c.starts)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -42,7 +41,7 @@ from .instances import (
     uniform_real_complete,
 )
 
-MAX_THREADS = 64  # ExperimentConfig.threads cap: the pool starts up to this many OS threads
+MAX_THREADS = 64  # ExperimentConfig.threads cap (CapacityError above it)
 
 # annotation of an ExperimentConfig field -> the types its value may have
 _FIELD_TYPES = {"int": int, "str": str, "str | None": (str, type(None))}
@@ -60,7 +59,7 @@ class ExperimentConfig:
     trial_budget: int = 1000
     output_path: str | None = None
     output_format: str = "csv"  # "csv" or "json" (JSON lines)
-    threads: int = 1
+    threads: int = 1  # checked and recorded in the JSON config line; runs are serial
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -194,54 +193,44 @@ class RecordWriter:
         self._fh.flush()
 
     def finish(self, summary: dict) -> None:
-        if self._fh is None:
-            return
-        if self.fmt == "json":
+        """Write the summary line (JSON only); close() ends the file."""
+        if self._fh is not None and self.fmt == "json":
             self._fh.write(json.dumps({"summary": summary}) + "\n")
-        self._fh.close()
-        self._fh = None
 
-
-def _ordered_map(worker: Callable, args: Sequence, threads: int) -> Iterable:
-    """Map preserving argument order; thread count never changes the output."""
-    if threads <= 1:
-        for a in args:
-            yield worker(a)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, a) for a in args]
-        for fut in futures:
-            yield fut.result()
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 def _stream(
     cfg: ExperimentConfig,
     record_type: type,
     worker: Callable[..., dict],
-    jobs: Sequence,
+    jobs: Iterable,
     summarize: Callable[[list], dict],
 ) -> tuple[list, dict]:
-    """The one record loop: worker(job) per job on cfg.threads threads, in job order.
+    """The one record loop: worker(job) per job, in job order, on the calling thread.
 
     worker returns a record's fields but wall_time_ms, which is the elapsed
     time of that worker call.  Each record streams to cfg's output as it
     arrives; the summary, cfg.kind under "kind" and then summarize(records),
-    closes the output.  Returns (records, summary).
+    closes the output.  If a worker raises, the output is closed as the valid
+    prefix written so far.  Returns (records, summary).
     """
-
-    def timed(job):
-        clock = time.perf_counter
-        start = clock()
-        values = worker(job)
-        return record_type(**values, wall_time_ms=round((clock() - start) * 1000.0, 3))
-
     writer = RecordWriter(cfg.output_path, cfg.output_format, record_type.FIELDS, cfg)
     records = []
-    for rec in _ordered_map(timed, jobs, cfg.threads):
-        records.append(rec)
-        writer.write(rec.to_dict())
-    summary = {"kind": cfg.kind, **summarize(records)}
-    writer.finish(summary)
+    try:
+        for job in jobs:
+            start = time.perf_counter()
+            values = worker(job)
+            wall_time_ms = round((time.perf_counter() - start) * 1000.0, 3)
+            records.append(record_type(**values, wall_time_ms=wall_time_ms))
+            writer.write(records[-1].to_dict())
+        summary = {"kind": cfg.kind, **summarize(records)}
+        writer.finish(summary)
+    finally:
+        writer.close()
     return records, summary
 
 
@@ -336,27 +325,26 @@ def run_hadamard_ratio(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     discrepancy bound.
     """
     sizes = list(range(cfg.n_min, cfg.n_max + 1))
-    rows = {}  # n -> discrepancy row; each worker writes only its own n
+    rows = []  # discrepancy rows, one per worker call, in size order
 
     def worker(n):
         rec, mu_plus, mu_minus = _gap_measurement(hadamard_instance(n), n, math.sqrt(n) / 3.0)
         bound = hadamard_discrepancy_bound(n)
-        rows[n] = {
+        rows.append({
             "n": n,
             "mu_plus": mu_plus,
             "mu_minus": mu_minus,
             "discrepancy_bound": bound,
             "discrepancy_ok": mu_plus <= bound + 1e-9 and -mu_minus <= bound + 1e-9,
             **{k: rec[k] for k in ("ratio", "threshold", "threshold_met")},
-        }
+        })
         return rec
 
     def summarize(records: list[GapRecord]) -> dict:
-        ordered = [rows[n] for n in sizes]
         return {
             "sizes": sizes,
-            "all_within_discrepancy_bound": all(r["discrepancy_ok"] for r in ordered),
-            "rows": ordered,
+            "all_within_discrepancy_bound": all(r["discrepancy_ok"] for r in rows),
+            "rows": rows,
         }
 
     return _stream(cfg, GapRecord, worker, sizes, summarize)
@@ -449,7 +437,7 @@ def run_hull_census(cfg: ExperimentConfig) -> tuple[list[HullCensusRecord], dict
             "disagreements": [r.instance_id for r in records if not r.agree],
         }
 
-    return _stream(cfg, HullCensusRecord, worker, list(_census_instances(cfg)), summarize)
+    return _stream(cfg, HullCensusRecord, worker, _census_instances(cfg), summarize)
 
 
 # kind -> (largest n it accepts, runner); EXPERIMENT_KINDS keeps this order

@@ -221,8 +221,6 @@ class SignedWeightedGraph:
         object.__setattr__(self, "edges", tuple(zip(i, j, w)))
         i, j, w = cols = (np.fromiter(i, np.int64), np.fromiter(j, np.int64), np.fromiter(w, float))
         object.__setattr__(self, "_columns", cols)  # the edges as numpy columns
-        # Built here, in the thread that builds the graph: fancy assignment releases the
-        # GIL, and built lazily in a pool worker each small graph waits to get it back.
         matrix = np.zeros((self.n + 1, self.n + 1))
         matrix[i, j] = w
         matrix[j, i] = w

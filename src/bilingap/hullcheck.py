@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cuts import cut_range_bruteforce
-from .errors import InputError
+from .errors import InvariantViolationError
 from .graph import SignedWeightedGraph, VertexSubset, gamma_abs_weight
 
 
@@ -115,7 +115,7 @@ def _extract_cycle(
         elif w < 0:
             neg += 1
         else:
-            raise InputError(f"cycle step ({a}, {b}) is not an edge")  # unreachable
+            raise InvariantViolationError(f"cycle step ({a}, {b}) is not an edge")
     return ViolatingCycle(vertices=tuple(cycle), positive_edges=pos, negative_edges=neg)
 
 

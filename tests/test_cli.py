@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from bilingap import cli, cuts
 from bilingap.cli import main
+from bilingap.errors import InvariantViolationError
 from bilingap.experiments import EXPERIMENT_KINDS
 from bilingap.graph import Cut, SignedWeightedGraph, VertexSubset, read_instance, write_instance
+from bilingap.hullcheck import check_hull_exact
 from bilingap.instances import (
     INSTANCE_FAMILIES,
     hadamard_instance,
@@ -240,6 +242,17 @@ class TestHullcheck:
         assert res["exact"] is False
         assert sorted(res["violating_cycle"]) == [1, 2, 3]
         assert res["violating_cycle_edge_counts"] == {"positive": 3, "negative": 0}
+
+    def test_non_edge_cycle_step_exit_3(self, capsys, tmp_path, monkeypatch):
+        """A violating cycle that steps off an edge is a bug: invariant error, exit 3."""
+        inst = write_triangle(tmp_path)
+        monkeypatch.setattr(SignedWeightedGraph, "weight", lambda self, i, j: 0.0)
+        with pytest.raises(InvariantViolationError, match="is not an edge"):
+            check_hull_exact(TRIANGLE)
+        code, out, err = run_cli(capsys, "hullcheck", "--instance", inst)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("invariant violation:") and "Traceback" not in err
 
 
 class TestExperimentCommand:

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -417,22 +415,6 @@ class TestAllSubsetKernel:
             reference = _subset_extremes_reference(g)
         _assert_same_bytes(tables, reference)
         assert not np.isnan(tables[0]).any() and not np.isnan(tables[1]).any()
-
-    def test_two_threads_on_cold_cache_match_serial(self):
-        ns = [12, 12, 11, 11, 7, 7, 3, 10, 1, 5]  # pairs ask for the same n at once
-        graphs = [_mixed_weight_graph(100 + t, n) for t, n in enumerate(ns)]
-        serial = [all_subset_cut_extremes(g) for g in graphs]
-        cuts._build_pair_chunks.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                threaded = list(pool.map(all_subset_cut_extremes, graphs, timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-        for tables, reference in zip(threaded, serial):
-            _assert_same_bytes(tables, reference)
-        assert cuts._build_pair_chunks.cache_info().misses == len(set(ns))
 
     def test_n16_sampled_masks_match_enumeration(self):
         g = random_int_graph(1616, 16)

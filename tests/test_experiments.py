@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import pytest
 
 from bilingap import experiments
-from bilingap.errors import CapacityError, InputError
+from bilingap.errors import CapacityError, InputError, InvariantViolationError
 from bilingap.experiments import (
     CENSUS_CSV_FIELDS,
     CUT_CSV_FIELDS,
@@ -319,6 +320,55 @@ class TestRecordLoop:
         for rec, line in zip(records, lines[1:-1]):
             assert line == {"record": rec.to_dict()}
             assert type(rec.wall_time_ms) is float and rec.wall_time_ms >= 0.0
+
+    def test_workers_run_on_the_calling_thread(self, monkeypatch):
+        """threads=2 is accepted and recorded, but every worker call runs serially here."""
+        idents = []
+
+        def recorded(g):
+            idents.append(threading.get_ident())
+            return check_hull_exact(g)
+
+        monkeypatch.setattr(experiments, "check_hull_exact", recorded)
+        cfg = ExperimentConfig(kind="hull_census", threads=2, **SMALL_RUNS["hull_census"])
+        records, _ = run_experiment(cfg)
+        assert len(idents) == len(records) > 2
+        assert set(idents) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_closed_when_a_worker_raises(self, fmt, monkeypatch, tmp_path):
+        """A raising worker leaves the output closed, holding the records written before it."""
+        handles = []
+
+        class CapturingWriter(experiments.RecordWriter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                handles.append(self._fh)
+
+        calls = []
+
+        def failing_third(g):
+            calls.append(g)
+            if len(calls) == 3:
+                raise InvariantViolationError("forced")
+            return check_hull_exact(g)
+
+        monkeypatch.setattr(experiments, "RecordWriter", CapturingWriter)
+        monkeypatch.setattr(experiments, "check_hull_exact", failing_third)
+        out = tmp_path / f"census.{fmt}"
+        cfg = ExperimentConfig(
+            kind="hull_census", output_path=str(out), output_format=fmt,
+            **SMALL_RUNS["hull_census"],
+        )
+        with pytest.raises(InvariantViolationError, match="forced"):
+            run_experiment(cfg)
+        assert len(handles) == 1 and handles[0].closed
+        lines = read_text(out).splitlines()
+        assert len(lines) == 1 + 2  # header or config line, then the two finished records
+        if fmt == "json":
+            assert [list(json.loads(line)) for line in lines] == [["config"], ["record"], ["record"]]
+        else:
+            assert lines[0] == ",".join(CENSUS_CSV_FIELDS)
 
 
 class TestRunExperimentAndOutput:
