@@ -25,6 +25,7 @@ from .graph import (
     SignedWeightedGraph,
     VertexSubset,
     _check_subset,
+    _is_int,
     _is_real,
     cut_weight,
     gamma_abs_weight,
@@ -61,6 +62,8 @@ class EvaluationPoint:
 
     @classmethod
     def all_half(cls, n: int) -> "EvaluationPoint":
+        if not _is_int(n) or n < 0:
+            raise InputError(f"coordinate count must be a non-negative integer, got {n!r}")
         return cls((0.5,) * n)
 
     @property
@@ -201,8 +204,7 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
     start = start_tableau(a_mat, b_vec, basis)
     vex, _ = solve_min(a_mat, b_vec, c, basis, start)
     neg_cav, _ = solve_min(a_mat, b_vec, -c, basis, start)
-    cav = -neg_cav
-    return cav, vex
+    return -neg_cav, vex
 
 
 def envelopes_halfpoint(
@@ -264,6 +266,12 @@ def dual_certificate(
     """
     if side not in ("lower_envelope", "upper_envelope"):
         raise InputError(f"side must be 'lower_envelope' or 'upper_envelope', got {side!r}")
+    try:
+        finite = _is_real(mu) and math.isfinite(mu)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise InputError(f"mu must be a finite real number, got {mu!r}")
     verts = sorted(t_frac.members)
     k = len(verts)
     if k > _CERT_CAP:

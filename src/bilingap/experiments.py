@@ -401,10 +401,8 @@ def _numeric_exact(g: SignedWeightedGraph) -> bool:
 
 def _census_instances(cfg: ExperimentConfig):
     """Census instance stream: exhaustive small sign-pattern families, then random graphs."""
-    # (family, smallest n, edges on n vertices minus n); the generator is looked
-    # up by name here, so a replaced experiments.signed_cycle is the one called
-    for family, low, shift in (("cycle", 3, 0), ("path", 2, -1)):
-        generate = globals()[f"signed_{family}"]
+    # (family, generator, smallest n, edges on n vertices minus n)
+    for family, generate, low, shift in (("cycle", signed_cycle, 3, 0), ("path", signed_path, 2, -1)):
         for n in range(max(low, cfg.n_min), min(cfg.n_max, 8) + 1):
             for pat in range(1 << (n + shift)):
                 signs = [1.0 if pat >> k & 1 == 0 else -1.0 for k in range(n + shift)]

@@ -13,14 +13,14 @@ import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice
+from itertools import islice
 from operator import lt
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, InvariantViolationError
 
 MAX_VERTICES = 63
 MAX_TOTAL_ABS_WEIGHT = 1e300  # instance files above this would overflow cut sums to inf
@@ -60,6 +60,8 @@ class VertexSubset:
 
     @classmethod
     def full(cls, n: int) -> "VertexSubset":
+        if not _is_int(n):
+            raise InputError(f"vertex count must be an integer, got {n!r}")
         if not 0 <= n <= MAX_VERTICES:
             raise CapacityError(f"full subset needs 0 <= n <= {MAX_VERTICES}, got {n}")
         return cls((1 << n) - 1)
@@ -131,69 +133,62 @@ def ascii_float(token: str) -> float:
     return float(token)
 
 
-def _first(flags: Iterable) -> int | None:
-    """Index of the first true flag, or None."""
-    return next(compress(count(), flags), None)
-
-
-def _first_raising(f: Callable, values: Iterable, errors) -> int | None:
-    """Index of the first value on which f raises one of errors, or None."""
-    for k, v in enumerate(values):
-        try:
-            f(v)
-        except errors:
-            return k
-    return None
-
-
 def _canonical_columns(n: int, edges: tuple) -> tuple[tuple, tuple, tuple]:
     """Checked (i, j, weight) columns of an edge list, sorted by (i, j).
 
-    Each check runs over whole columns, and an edge that fails one ends the
-    edges (stop) that the later checks count.  So a bad list raises what a
-    per-edge loop would: its first bad edge, at the first check it fails.
+    The checks run over whole columns and only tell a good list from a bad
+    one; a bad list goes to _raise_first_bad_edge, which names its first bad edge.
     """
-    stop, fault = len(edges), None
-
-    def cut(k, message):  # no annotations: a nested def would build them on every call
-        nonlocal stop, fault
-        if k is not None and k < stop:
-            stop, fault = k, message(k)
-
+    if not edges:
+        return (), (), ()
     try:
-        i, j, w = zip(*edges, strict=True)
-    except (TypeError, ValueError):  # no edges, or some edge is not a triple
-        unpack = lambda e: tuple(zip(range(3), e, strict=True))  # fails where i, j, w = e does
-        cut(_first_raising(unpack, edges, (TypeError, ValueError)),
-            lambda k: f"edge {edges[k]!r} is not an (i, j, weight) triple")
-        i, j, w = tuple(zip(*edges[:stop])) or ((), (), ())
-    if {*map(type, i), *map(type, j)} != {int}:
-        cut(_first(not (_is_int(a) and _is_int(b)) for a, b in zip(i, j)),
-            lambda k: f"edge {edges[k]!r}: vertex indices must be integers")
-        i, j = tuple(map(int, i[:stop])), tuple(map(int, j[:stop]))
-    w = w[:stop]
-    if {*map(type, w)} != {float}:
-        cut(_first(not _is_real(v) for v in w),
-            lambda k: f"edge {edges[k]!r}: weight must be a real number")
-        cut(_first_raising(float, w[:stop], OverflowError),
-            lambda k: f"edge {edges[k]!r} has a weight beyond the float range")
-        w = tuple(map(float, w[:stop]))
-    pair = lambda k: f"edge ({i[k]}, {j[k]})"
-    if i and not (min(i) >= 1 and max(j) <= n and all(map(lt, i, j))):
-        cut(_first(not 1 <= a < b <= n for a, b in zip(i, j)),
-            lambda k: f"{pair(k)} must satisfy 1 <= i < j <= {n}")
-    if not (all(w) and all(map(math.isfinite, w))):  # a zero weight is false
-        cut(_first(not (v and math.isfinite(v)) for v in w),
-            lambda k: f"{pair(k)} has zero weight; omit absent edges" if w[k] == 0.0
-            else f"{pair(k)} has non-finite weight {w[k]!r}")
-    pairs = list(zip(i[:stop], j[:stop]))
-    ascending = all(map(lt, pairs, islice(pairs, 1, None)))
-    if not ascending and len(set(pairs)) < len(pairs):
-        seen: set[tuple] = set()  # seen.add returns None, so a pair is true once seen
-        cut(_first(p in seen or seen.add(p) for p in pairs), lambda k: f"duplicate {pair(k)}")
-    if fault is not None:
-        raise InputError(fault)
+        i, j, w = zip(*edges, strict=True)  # TypeError or ValueError: not all triples
+        exact_ij = {*map(type, i), *map(type, j)} == {int}  # exact types skip conversion
+        exact_w = {*map(type, w)} == {float}
+        good = (exact_ij or all(map(_is_int, i + j))) and (exact_w or all(map(_is_real, w)))
+        if good and not exact_ij:
+            i, j = tuple(map(int, i)), tuple(map(int, j))
+        if good and not exact_w:
+            w = tuple(map(float, w))  # OverflowError: an integer beyond the float range
+    except (TypeError, ValueError, OverflowError):
+        good = False
+    if good:
+        pairs = list(zip(i, j))
+        ascending = all(map(lt, pairs, islice(pairs, 1, None)))
+        good = (min(i) >= 1 and max(j) <= n and all(map(lt, i, j))
+                and all(w) and all(map(math.isfinite, w))  # a zero weight is false
+                and (ascending or len(set(pairs)) == len(pairs)))
+    if not good:
+        _raise_first_bad_edge(n, edges)
     return (i, j, w) if ascending else tuple(zip(*sorted(zip(i, j, w))))
+
+
+def _raise_first_bad_edge(n: int, edges: tuple) -> NoReturn:
+    """Raise the InputError of the first bad edge in input order, checked edge by edge."""
+    seen = set()
+    for e in edges:
+        try:
+            i, j, w = e
+        except (TypeError, ValueError):
+            raise InputError(f"edge {e!r} is not an (i, j, weight) triple") from None
+        if not (_is_int(i) and _is_int(j)):
+            raise InputError(f"edge {e!r}: vertex indices must be integers")
+        if not _is_real(w):
+            raise InputError(f"edge {e!r}: weight must be a real number")
+        try:
+            i, j, w = int(i), int(j), float(w)
+        except OverflowError:
+            raise InputError(f"edge {e!r} has a weight beyond the float range") from None
+        if not 1 <= i < j <= n:
+            raise InputError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= {n}")
+        if w == 0.0:
+            raise InputError(f"edge ({i}, {j}) has zero weight; omit absent edges")
+        if not math.isfinite(w):
+            raise InputError(f"edge ({i}, {j}) has non-finite weight {w!r}")
+        if (i, j) in seen:
+            raise InputError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+    raise InvariantViolationError("the edge column checks rejected a list with no bad edge")
 
 
 @dataclass(frozen=True)

@@ -137,13 +137,11 @@ def check_hull_exact(g: SignedWeightedGraph) -> HullExactness:
     )
 
 
-def verify_exactness_numerically(
-    g: SignedWeightedGraph, x: VertexSubset, tolerance: float = 1e-9
-) -> bool:
-    """Check mu_plus(X) - mu_minus(X) = total |weight| inside X by exact enumeration.
+def verify_exactness_numerically(g: SignedWeightedGraph, x: VertexSubset) -> bool:
+    """Check mu_plus(X) - mu_minus(X) = total |weight| inside X within 1e-9 by enumeration.
 
     Exactness of the hull is equivalent to this identity holding for every
     subset; this verifies one subset (enumeration cap 26 vertices).
     """
     mu_plus, mu_minus = cut_range_bruteforce(g, x)
-    return abs((mu_plus - mu_minus) - gamma_abs_weight(g, x)) <= tolerance
+    return abs((mu_plus - mu_minus) - gamma_abs_weight(g, x)) <= 1e-9

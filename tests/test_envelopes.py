@@ -69,6 +69,14 @@ class TestEvaluationPoint:
     def test_of_varargs(self):
         assert EvaluationPoint.of(0.5, 1.0).coords == (0.5, 1.0)
 
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None, np.float64(3.0), -1])
+    def test_all_half_rejects_a_non_integer_count(self, n):
+        with pytest.raises(InputError, match="coordinate count"):
+            EvaluationPoint.all_half(n)
+
+    def test_all_half_takes_a_numpy_count(self):
+        assert EvaluationPoint.all_half(np.int64(3)).coords == (0.5, 0.5, 0.5)
+
 
 class TestEvaluateBilinear:
     def test_single_edge(self):
@@ -372,6 +380,19 @@ class TestGapInvariances:
 
 
 class TestDualCertificate:
+    @pytest.mark.parametrize(
+        "mu", [math.nan, math.inf, -math.inf, np.float64(math.nan), True, "1", None, 10**400],
+        ids=["nan", "inf", "-inf", "numpy-nan", "True", "str", "None", "10**400"],
+    )
+    def test_rejects_a_non_finite_or_non_real_mu(self, mu):
+        with pytest.raises(InputError, match="mu must be a finite real number"):
+            dual_certificate(TRIANGLE, VertexSubset.full(3), mu, "lower_envelope")
+
+    def test_accepts_numpy_and_int_mu(self):
+        for mu in (2, np.int64(2), np.float32(2.0)):
+            cert = dual_certificate(TRIANGLE, VertexSubset.full(3), mu, "lower_envelope")
+            assert cert.y == -1.0
+
     def test_triangle_lower(self):
         cert = dual_certificate(TRIANGLE, VertexSubset.full(3), 2.0, "lower_envelope")
         assert cert.y == -1.0

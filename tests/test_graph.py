@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilingap import graph
+from bilingap.cli import main
 from bilingap.envelopes import EvaluationPoint, evaluate_bilinear
-from bilingap.errors import CapacityError, InputError
+from bilingap.errors import CapacityError, InputError, InvariantViolationError
 from bilingap.graph import (
     MAX_TOTAL_ABS_WEIGHT,
     MAX_VERTICES,
@@ -56,6 +58,15 @@ class TestVertexSubset:
     def test_full(self):
         assert sorted(VertexSubset.full(4).members) == [1, 2, 3, 4]
         assert VertexSubset.full(0).mask == 0
+
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None, np.float64(3.0)])
+    def test_full_rejects_a_non_integer_count(self, n):
+        with pytest.raises(InputError, match="vertex count must be an integer"):
+            VertexSubset.full(n)
+
+    def test_full_takes_a_numpy_count(self):
+        full = VertexSubset.full(np.int64(3))
+        assert type(full.mask) is int and full.mask == 0b111
 
     def test_set_algebra(self):
         a = VertexSubset.from_members([1, 2])
@@ -122,6 +133,11 @@ class TestGraphConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError):
             SignedWeightedGraph(2, ((1, 3, 1.0),))
+
+    @pytest.mark.parametrize("i", [0, -1, np.int64(0)])
+    def test_rejects_a_vertex_below_one(self, i):
+        with pytest.raises(InputError, match=rf"edge \({i}, 2\) must satisfy 1 <= i < j <= 3"):
+            SignedWeightedGraph(3, ((1, 3, 1.0), (i, 2, 1.0)))
 
     @pytest.mark.parametrize(
         "edge",
@@ -298,6 +314,17 @@ class TestColumnConstruction:
             with pytest.raises(InputError) as got:
                 SignedWeightedGraph(n, tuple(edges))
             assert str(got.value) == str(want.value), (first, second)
+
+    def test_a_turned_down_list_with_no_bad_edge_exits_3(self, monkeypatch, tmp_path, capsys):
+        """Column checks that reject a good list leave the walk nothing to name: exit 3."""
+        path = tmp_path / "mixed.json"
+        write_instance(MIXED, path)
+        monkeypatch.setattr(graph, "lt", lambda a, b: False)  # every (i, j) "out of order"
+        with pytest.raises(InvariantViolationError, match="no bad edge"):
+            SignedWeightedGraph(3, MIXED.edges)
+        assert main(["hullcheck", "--instance", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invariant violation:") and "Traceback" not in err
 
 
 class TestCutType:
