@@ -14,13 +14,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .errors import CapacityError, InputError, InvariantViolationError
 from .graph import (
-    Cut, SignedWeightedGraph, VertexSubset, _check_subset, _is_int, cross_weight, cut_weight
+    Cut, SignedWeightedGraph, VertexSubset, _check_subset, _is_int, column_sum, cut_weight
 )
 from .rng import bits, draws
 from .simplex import bit_matrix, sign_matrix
@@ -218,8 +217,8 @@ def find_large_cut(
     stat_threshold = total / (200.0 * math.sqrt(n))
     case_threshold = total / (1200.0 * math.sqrt(n))
     left, right = half_weight_partition(g)
-    left_verts = sorted(left.members)
-    right_verts = sorted(right.members)
+    left_verts = np.fromiter(left, np.int64)
+    right_verts = np.fromiter(right, np.int64)
     w_lr = g.weight_matrix[np.ix_(left_verts, right_verts)]
 
     size = len(left_verts)
@@ -252,25 +251,26 @@ def find_large_cut(
             case_taken="brute_fallback",
         )
 
-    sample = VertexSubset.from_members(v for v, pick in zip(left_verts, best_picks) if pick)
+    # The three cases on the edge columns: label 1 marks the sample, 2 the
+    # chosen columns, 0 the rest, so an edge's label xor is 1 for sample-rest,
+    # 2 for chosen-rest and 3 for sample-chosen.
+    label = np.zeros(n + 1, dtype=np.int8)
+    label[left_verts[best_picks > 0]] = 1
     plus_total = float(best_cols[best_cols >= 0].sum())
     minus_total = -float(best_cols[best_cols < 0].sum())
     side_sign = 1.0 if plus_total >= minus_total else -1.0
-    picked = (best_cols >= 0) == (side_sign > 0)  # the columns on the chosen sign's side
-    chosen = VertexSubset.from_members(compress(right_verts, picked.tolist()))
-    rest = g.vertices.difference(sample.union(chosen))
-    sample_rest = cross_weight(g, sample, rest)
-    chosen_rest = cross_weight(g, chosen, rest)
-    if side_sign * sample_rest >= -case_threshold - _SLACK:
-        u = sample
-        case = "case1"
-    elif side_sign * chosen_rest >= -case_threshold - _SLACK:
-        u = chosen
-        case = "case2"
+    label[right_verts[(best_cols >= 0) == (side_sign > 0)]] = 2  # the chosen sign's columns
+    i, j, w = g._columns
+    pair = label[i] ^ label[j]
+    if side_sign * column_sum(w[pair == 1]) >= -case_threshold - _SLACK:
+        bit, case = 1, "case1"
+    elif side_sign * column_sum(w[pair == 2]) >= -case_threshold - _SLACK:
+        bit, case = 2, "case2"
     else:
-        u = sample.union(chosen)
-        case = "case3"
-    weight = cut_weight(g, g.vertices, u)
+        bit, case = 3, "case3"
+    in_u = (label & bit) > 0
+    u = VertexSubset.from_members(np.flatnonzero(in_u).tolist())
+    weight = column_sum(w[in_u[i] != in_u[j]])  # cut_weight(g, g.vertices, u)
     meets = abs(weight) >= bound - _SLACK
     if stat_met and not meets:
         raise InvariantViolationError(

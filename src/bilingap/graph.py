@@ -233,8 +233,7 @@ class SignedWeightedGraph:
     @cached_property
     def total_abs_weight(self) -> float:
         """Left-to-right total of |weight| in edge order, as ordered_sum adds."""
-        with np.errstate(over="ignore"):  # a total beyond the float range is inf
-            return float(np.cumsum(np.abs(self._columns[2]))[-1]) if self.edges else 0.0
+        return column_sum(np.abs(self._columns[2]))
 
     @cached_property
     def pair_masks(self) -> tuple[tuple[int, float], ...]:
@@ -282,6 +281,12 @@ def ordered_sum(values: Iterable[float]) -> float:
     for v in values:
         total += v
     return total
+
+
+def column_sum(values: np.ndarray) -> float:
+    """ordered_sum of a float column: np.cumsum adds left to right, np.sum pairwise."""
+    with np.errstate(over="ignore"):  # a total beyond the float range is inf
+        return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def _check_subset(g: SignedWeightedGraph, x: VertexSubset) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from bilingap.errors import CapacityError, InputError
 from bilingap.graph import (
     SignedWeightedGraph,
     VertexSubset,
+    column_sum,
+    cross_weight,
     cut_weight,
     gamma_abs_weight,
     gamma_weight,
@@ -37,6 +40,7 @@ from bilingap.instances import (
     signed_path,
     uniform_real_complete,
 )
+from bilingap.rng import bits, draws
 
 from conftest import enumerate_cut_values, oracle_mu, random_int_graph, splitmix64_reference
 
@@ -429,6 +433,85 @@ class TestAllSubsetKernel:
             assert (mu_plus[mask], mu_minus[mask]) == cut_range_bruteforce(g, VertexSubset(mask))
 
 
+def _find_large_cut_reference(g: SignedWeightedGraph, rng_seed: int, trial_budget: int) -> tuple:
+    """The search with the vertex-subset tail, totalled by cross_weight and cut_weight.
+
+    Returns (side mask, weight.hex(), case, trials used, meets guarantee).
+    """
+    n = g.n
+    total = g.total_abs_weight
+    bound = total / (600.0 * math.sqrt(n))
+    stat_threshold = total / (200.0 * math.sqrt(n))
+    case_threshold = total / (1200.0 * math.sqrt(n))
+    left, right = half_weight_partition(g)
+    left_verts = sorted(left.members)
+    right_verts = sorted(right.members)
+    w_lr = g.weight_matrix[np.ix_(left_verts, right_verts)]
+    size = len(left_verts)
+    best_stat, best_picks, best_cols = -1.0, np.zeros(size), np.zeros(len(right_verts))
+    trials, stat_met = 0, False
+    for t in range(trial_budget):
+        trials += 1
+        picks = bits(draws(rng_seed, t * size, size))
+        cols = picks @ w_lr
+        stat = float(np.abs(cols).sum())
+        if stat > best_stat:
+            best_stat, best_picks, best_cols = stat, picks, cols
+        if stat >= stat_threshold - cuts._SLACK:
+            stat_met = True
+            break
+    if not stat_met and n <= ENUMERATION_CAP:
+        (mx, cut_hi), (mn, cut_lo) = extreme_cuts(g, g.vertices)
+        cut = cut_hi if abs(mx) >= abs(mn) else cut_lo
+        meets = abs(cut.weight) >= bound - cuts._SLACK
+        return cut.side.mask, cut.weight.hex(), "brute_fallback", trials, meets
+    sample = VertexSubset.from_members(v for v, pick in zip(left_verts, best_picks) if pick)
+    plus_total = float(best_cols[best_cols >= 0].sum())
+    minus_total = -float(best_cols[best_cols < 0].sum())
+    side_sign = 1.0 if plus_total >= minus_total else -1.0
+    picked = (best_cols >= 0) == (side_sign > 0)
+    chosen = VertexSubset.from_members(v for v, p in zip(right_verts, picked) if p)
+    rest = g.vertices.difference(sample.union(chosen))
+    if side_sign * cross_weight(g, sample, rest) >= -case_threshold - cuts._SLACK:
+        u, case = sample, "case1"
+    elif side_sign * cross_weight(g, chosen, rest) >= -case_threshold - cuts._SLACK:
+        u, case = chosen, "case2"
+    else:
+        u, case = sample.union(chosen), "case3"
+    weight = cut_weight(g, g.vertices, u)
+    return u.mask, weight.hex(), case, trials, abs(weight) >= bound - cuts._SLACK
+
+
+def _search_summary(g: SignedWeightedGraph, rng_seed: int, trial_budget: int) -> tuple:
+    res = find_large_cut(g, rng_seed, trial_budget)
+    return (res.cut.side.mask, res.cut.weight.hex(), res.case_taken, res.trials_used,
+            res.meets_guarantee)
+
+
+def _search_cases():
+    for n in range(2, 51):
+        yield uniform_real_complete(n, n)
+        yield random_pm1_complete(n, n + 7)
+        yield random_signed_graph(n, n)
+    yield SignedWeightedGraph(40, ((3, 17, -2.5),))
+    yield SignedWeightedGraph(40, ())
+
+
+def _huge_weight_graphs():
+    """Total |weight| beyond the float range (3 vertices), and +/-1e300 edges (30 vertices)."""
+    yield SignedWeightedGraph(3, ((1, 2, 1e308), (1, 3, 1e308), (2, 3, -1e308)))
+    pm1 = random_pm1_complete(30, seed=30)
+    yield SignedWeightedGraph(30, tuple((i, j, 1e300 * w) for i, j, w in pm1.edges))
+
+
+def _warned(fn, *args):
+    """fn(*args) and the number of RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(*args)
+    return value, sum(issubclass(c.category, RuntimeWarning) for c in caught)
+
+
 class TestFindLargeCut:
     def test_mixed_triangle_example(self):
         g = SignedWeightedGraph(3, ((1, 2, 5.0), (1, 3, -2.0), (2, 3, 1.0)))
@@ -528,6 +611,48 @@ class TestFindLargeCut:
             assert res.cut.weight == cut_weight(g, g.vertices, res.cut.side)
             if res.meets_guarantee:
                 assert abs(res.cut.weight) >= res.bound - 1e-9
+        # real weights, where the summation order changes the double
+        for n in range(20, 51):
+            g = uniform_real_complete(n, n)
+            res = find_large_cut(g, rng_seed=n)
+            assert res.cut.weight.hex() == cut_weight(g, g.vertices, res.cut.side).hex()
+
+    @pytest.mark.parametrize("budget", [1, 3, 1000])
+    def test_matches_the_subset_reference(self, budget):
+        seen = set()
+        for g in _search_cases():
+            for seed in (0, g.n):
+                got = _search_summary(g, seed, budget)
+                assert got == _find_large_cut_reference(g, seed, budget), (g.n, seed)
+                seen.add((got[2], g.n > ENUMERATION_CAP and got[3] == budget))
+        # every case is resolved, and at budget 1 the tail resolves samples
+        # of graphs too large for the enumeration fallback
+        assert {"case1", "case2", "case3"} <= {case for case, _ in seen}
+        if budget == 1:
+            assert ("case1", True) in seen
+
+    def test_search_leaves_pair_masks_unbuilt(self):
+        # the tail totals edge columns; the per-edge pair masks stay unbuilt
+        for g in (uniform_real_complete(30, seed=3), SignedWeightedGraph(40, ((3, 17, -2.5),))):
+            res = find_large_cut(g, rng_seed=0, trial_budget=1)
+            assert res.case_taken != "brute_fallback"
+            assert "pair_masks" not in vars(g)
+
+    def test_huge_weights_match_the_reference_and_its_warnings(self):
+        for g in _huge_weight_graphs():
+            for seed in range(8):
+                for budget in (1, 1000):
+                    got, got_warnings = _warned(_search_summary, g, seed, budget)
+                    ref, ref_warnings = _warned(_find_large_cut_reference, g, seed, budget)
+                    assert got == ref and got_warnings == ref_warnings, (g.n, seed, budget)
+
+    def test_column_sum_is_a_left_to_right_total(self):
+        # each 1.0 rounds away against 1e16; np.sum's pairwise blocks keep them
+        w = np.array([1e16] + [1.0] * 8 + [-1e16])
+        assert column_sum(w) == 0.0 and float(np.sum(w)) == 8.0
+        assert column_sum(np.array([])) == 0.0
+        # beyond the float range the total is inf, without a warning
+        assert _warned(column_sum, np.array([1e308, 1e308, -1e308])) == (math.inf, 0)
 
     def test_weight_never_beats_exact_optimum(self):
         for seed in range(20):
