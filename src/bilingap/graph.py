@@ -11,12 +11,11 @@ import json
 import math
 import numbers
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import lt
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -133,37 +132,73 @@ def ascii_float(token: str) -> float:
     return float(token)
 
 
-def _canonical_columns(n: int, edges: tuple) -> tuple[tuple, tuple, tuple]:
-    """Checked (i, j, weight) columns of an edge list, sorted by (i, j).
+def _read_once(edges: Iterable) -> tuple:
+    """The edges as a tuple, each edge that is its own iterator read into a tuple.
 
-    The checks run over whole columns and only tell a good list from a bad
-    one; a bad list goes to _raise_first_bad_edge, which names its first bad edge.
+    The unzip and the bad-edge walk must both see an edge's values, and a
+    one-shot iterator yields them only once.
+    """
+    edges = tuple(edges)
+    if {*map(type, edges)} <= {tuple, list}:
+        return edges
+    return tuple(tuple(e) if isinstance(e, Iterator) else e for e in edges)
+
+
+def _unzip_edges(n: int, edges: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 (i, j) and float64 weight columns of an edge tuple, in input order.
+
+    An edge that is not a triple of an integer, an integer and a real number
+    goes to _raise_first_bad_edge.
     """
     if not edges:
-        return (), (), ()
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
     try:
         i, j, w = zip(*edges, strict=True)  # TypeError or ValueError: not all triples
         exact_ij = {*map(type, i), *map(type, j)} == {int}  # exact types skip conversion
         exact_w = {*map(type, w)} == {float}
-        good = (exact_ij or all(map(_is_int, i + j))) and (exact_w or all(map(_is_real, w)))
-        if good and not exact_ij:
-            i, j = tuple(map(int, i)), tuple(map(int, j))
-        if good and not exact_w:
-            w = tuple(map(float, w))  # OverflowError: an integer beyond the float range
+        if (exact_ij or all(map(_is_int, i + j))) and (exact_w or all(map(_is_real, w))):
+            if not exact_ij:
+                i, j = tuple(map(int, i)), tuple(map(int, j))
+            if not exact_w:
+                w = tuple(map(float, w))  # OverflowError: an integer beyond the float range
+            # OverflowError: an index beyond the int64 range
+            return np.array(i, np.int64), np.array(j, np.int64), np.array(w, float)
     except (TypeError, ValueError, OverflowError):
-        good = False
-    if good:
-        pairs = list(zip(i, j))
-        ascending = all(map(lt, pairs, islice(pairs, 1, None)))
-        good = (min(i) >= 1 and max(j) <= n and all(map(lt, i, j))
-                and all(w) and all(map(math.isfinite, w))  # a zero weight is false
-                and (ascending or len(set(pairs)) == len(pairs)))
-    if not good:
-        _raise_first_bad_edge(n, edges)
-    return (i, j, w) if ascending else tuple(zip(*sorted(zip(i, j, w))))
+        pass
+    _raise_first_bad_edge(n, edges)
 
 
-def _raise_first_bad_edge(n: int, edges: tuple) -> NoReturn:
+def _checked_columns(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """int64 (i, j) and float64 weight columns sorted by (i, j), and the weight matrix.
+
+    i and j may be of any integer dtype and w of any integer or float dtype
+    that float64 holds. The checks run over whole columns and only tell good
+    columns from bad ones: bad columns give None, and the caller walks the
+    edges with _raise_first_bad_edge to name the first bad one.
+    """
+    m = len(w)
+    try:
+        key = np.ravel_multi_index((i, j), (n + 1, n + 1))  # ValueError: an index outside 0..n
+    except ValueError:
+        return None
+    if np.count_nonzero(i) < m or np.count_nonzero(i < j) < m:  # 0 <= i here: i >= 1 and i < j
+        return None
+    matrix = np.zeros((n + 1, n + 1))
+    matrix.put(key, w)  # the upper triangle, as float64
+    w = matrix.take(key)
+    # a zero weight or a repeated (i, j) fills fewer than m entries
+    if np.count_nonzero(matrix) < m or np.count_nonzero(np.isfinite(w)) < m:
+        return None
+    if np.count_nonzero(key[1:] > key[:-1]) < m - 1:  # key order is (i, j) order
+        order = np.argsort(key, kind="stable")
+        i, j, w = i[order], j[order], w[order]
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    matrix[j, i] = w
+    return i, j, w, matrix
+
+
+def _raise_first_bad_edge(n: int, edges: Iterable) -> NoReturn:
     """Raise the InputError of the first bad edge in input order, checked edge by edge."""
     seen = set()
     for e in edges:
@@ -191,6 +226,29 @@ def _raise_first_bad_edge(n: int, edges: tuple) -> NoReturn:
     raise InvariantViolationError("the edge column checks rejected a list with no bad edge")
 
 
+def _vertex_count(n) -> int:
+    if not _is_int(n) or n < 1:
+        raise InputError(f"vertex count must be a positive integer, got {n!r}")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} exceeds the bitmask cap of {MAX_VERTICES}")
+    return int(n)
+
+
+def _column(values, name: str, floating: bool) -> np.ndarray:
+    """values as a 1-D array of integers, or also of floats that float64 holds if floating."""
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError):  # ragged or otherwise not an array
+        raise InputError(f"edge column {name} is not an array") from None
+    kind = a.dtype.kind
+    # a long double is wider than float64, which would round it
+    if a.ndim != 1 or not (kind in "iu" or floating and kind == "f" and a.dtype.itemsize <= 8):
+        what = "integers or floats no wider than float64" if floating else "integers"
+        got = f"dtype {a.dtype}, shape {a.shape}"
+        raise InputError(f"edge column {name} must be a 1-D array of {what}, got {got}")
+    return a
+
+
 @dataclass(frozen=True)
 class SignedWeightedGraph:
     """Simple undirected graph with nonzero real edge weights.
@@ -205,22 +263,45 @@ class SignedWeightedGraph:
     edges: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n) or self.n < 1:
-            raise InputError(f"vertex count must be a positive integer, got {self.n!r}")
-        if self.n > MAX_VERTICES:
-            raise CapacityError(
-                f"vertex count {self.n} exceeds the bitmask cap of {MAX_VERTICES}"
-            )
-        object.__setattr__(self, "n", int(self.n))
-        i, j, w = _canonical_columns(self.n, tuple(self.edges))
-        object.__setattr__(self, "edges", tuple(zip(i, j, w)))
-        i, j, w = cols = (np.fromiter(i, np.int64), np.fromiter(j, np.int64), np.fromiter(w, float))
-        object.__setattr__(self, "_columns", cols)  # the edges as numpy columns
-        matrix = np.zeros((self.n + 1, self.n + 1))
-        matrix[i, j] = w
-        matrix[j, i] = w
+        n = _vertex_count(self.n)
+        edges = _read_once(self.edges)
+        columns = _checked_columns(n, *_unzip_edges(n, edges))
+        if columns is None:
+            _raise_first_bad_edge(n, edges)
+        self._store(n, *columns)
+
+    @classmethod
+    def from_columns(cls, n: int, i, j, w) -> "SignedWeightedGraph":
+        """The graph with edges (i[k], j[k], w[k]): the tuple constructor's rules on numpy columns.
+
+        i and j must be 1-D integer arrays and w a 1-D array of integers or of
+        floats no wider than float64, all of one length; array-likes are read
+        with np.asarray. Any other dtype (bool, object, complex, string, long
+        double, ...), shape or length raises InputError, and no value is
+        coerced. A bad value raises the tuple constructor's error for the
+        first bad edge in column order.
+        """
+        n = _vertex_count(n)
+        i, j, w = _column(i, "i", False), _column(j, "j", False), _column(w, "w", True)
+        if not len(i) == len(j) == len(w):
+            raise InputError(f"edge columns differ in length: {len(i)}, {len(j)}, {len(w)}")
+        columns = _checked_columns(n, i, j, w)
+        if columns is None:
+            _raise_first_bad_edge(n, zip(i.tolist(), j.tolist(), w.tolist()))
+        g = cls.__new__(cls)
+        g._store(n, *columns)
+        return g
+
+    def _store(self, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
+               matrix: np.ndarray) -> None:
+        """Set the fields from _checked_columns' output, which the graph alone holds."""
         matrix.setflags(write=False)
-        object.__setattr__(self, "weight_matrix", matrix)
+        vars(self).update(  # what object.__setattr__ does for a frozen dataclass, in one call
+            n=n,
+            edges=tuple(zip(i.tolist(), j.tolist(), w.tolist())),
+            _columns=(i, j, w),  # the edges as numpy columns
+            weight_matrix=matrix,
+        )
 
     @property
     def vertices(self) -> VertexSubset:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations, compress, product
 
 import numpy as np
 
@@ -27,18 +26,24 @@ def _check_n(n: int, low: int = 2, per_vertex: int = 1) -> int:
     return int(n)
 
 
+def _frozen(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    for c in columns:
+        c.setflags(write=False)
+    return columns
+
+
 @functools.cache
-def _pairs(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(i, j) columns of the vertex pairs i < j of 1..n, n >= 2, in lexicographic order."""
-    return tuple(zip(*combinations(range(1, n + 1), 2)))
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 (i, j) columns of the vertex pairs i < j of 1..n, n >= 2, in (i, j) order."""
+    i, j = np.triu_indices(n, 1)  # row by row: lexicographic
+    return _frozen(i + 1, j + 1)
 
 
 def random_pm1_complete(n: int, seed: int) -> SignedWeightedGraph:
     """Complete graph on n vertices with independent uniform +/-1 weights."""
     n = _check_n(n)
-    ends = _pairs(n)
-    weights = rng.signs(rng.draws(seed, 0, len(ends[0])))
-    return SignedWeightedGraph(n, tuple(zip(*ends, weights.tolist())))
+    i, j = _pairs(n)
+    return SignedWeightedGraph.from_columns(n, i, j, rng.signs(rng.draws(seed, 0, len(i))))
 
 
 def hadamard_instance(n: int) -> SignedWeightedGraph:
@@ -50,17 +55,19 @@ def hadamard_instance(n: int) -> SignedWeightedGraph:
     [-n^{3/2}/sqrt(2), n^{3/2}/sqrt(2)].
     """
     n = _check_n(n)
-    ends = _pairs(n)
-    signs = [(1.0, -1.0)[((i - 1) & (j - 1)).bit_count() & 1] for i, j in zip(*ends)]
-    return SignedWeightedGraph(n, tuple(zip(*ends, signs)))
+    i, j = _pairs(n)
+    parity = (i - 1) & (j - 1)  # < 64: three folds leave the popcount parity in bit 0
+    for shift in (4, 2, 1):
+        parity ^= parity >> shift
+    return SignedWeightedGraph.from_columns(n, i, j, 1.0 - 2.0 * (parity & 1))
 
 
 def random_pm1_bipartite(n_per_side: int, seed: int) -> SignedWeightedGraph:
     """Complete bipartite graph between {1..m} and {m+1..2m} with uniform +/-1 weights."""
     m = _check_n(n_per_side, low=1, per_vertex=2)
-    ends = tuple(zip(*product(range(1, m + 1), range(m + 1, 2 * m + 1))))
-    weights = rng.signs(rng.draws(seed, 0, m * m))
-    return SignedWeightedGraph(2 * m, tuple(zip(*ends, weights.tolist())))
+    i = np.repeat(np.arange(1, m + 1), m)
+    j = np.tile(np.arange(m + 1, 2 * m + 1), m)
+    return SignedWeightedGraph.from_columns(2 * m, i, j, rng.signs(rng.draws(seed, 0, m * m)))
 
 
 def uniform_real_complete(n: int, seed: int) -> SignedWeightedGraph:
@@ -70,14 +77,14 @@ def uniform_real_complete(n: int, seed: int) -> SignedWeightedGraph:
     the next output takes its edge.
     """
     n = _check_n(n)
-    ends = _pairs(n)
+    i, j = _pairs(n)
     weights = np.empty(0)
     used = 0
-    while len(weights) < len(ends[0]):
-        block = 2.0 * rng.units(rng.draws(seed, used, len(ends[0]) - len(weights))) - 1.0
+    while len(weights) < len(i):
+        block = 2.0 * rng.units(rng.draws(seed, used, len(i) - len(weights))) - 1.0
         used += len(block)
         weights = np.concatenate((weights, block[block != 0.0]))
-    return SignedWeightedGraph(n, tuple(zip(*ends, weights.tolist())))
+    return SignedWeightedGraph.from_columns(n, i, j, weights)
 
 
 def random_signed_graph(n: int, seed: int) -> SignedWeightedGraph:
@@ -87,12 +94,11 @@ def random_signed_graph(n: int, seed: int) -> SignedWeightedGraph:
     the sign (0 -> +1).
     """
     n = _check_n(n)
-    ends = _pairs(n)
-    u = rng.draws(seed, 0, len(ends[0]))
+    i, j = _pairs(n)
+    u = rng.draws(seed, 0, len(i))
     present = rng.bits(u) == 1.0
-    kept = present.tolist()
     weights = rng.signs(rng.shifted(u))[present]
-    return SignedWeightedGraph(n, tuple(zip(*(compress(c, kept) for c in ends), weights.tolist())))
+    return SignedWeightedGraph.from_columns(n, i[present], j[present], weights)
 
 
 def _check_signs(signs, count: int, what: str) -> tuple[float, ...]:
@@ -109,6 +115,16 @@ def _check_signs(signs, count: int, what: str) -> tuple[float, ...]:
     return tuple(map(float, signs))
 
 
+@functools.cache
+def _walk_pairs(n: int, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (i, j) columns, in (i, j) order, of the edges {k, k+1}, and {1, n} if closed."""
+    i = np.arange(1, n)
+    j = i + 1
+    if closed:  # {1, n} sorts right after {1, 2}
+        i, j = np.insert(i, 1, 1), np.insert(j, 1, n)
+    return _frozen(i, j)
+
+
 def signed_cycle(n: int, signs) -> SignedWeightedGraph:
     """Cycle 1-2-...-n-1 with unit-magnitude signed weights.
 
@@ -117,16 +133,15 @@ def signed_cycle(n: int, signs) -> SignedWeightedGraph:
     """
     n = _check_n(n, low=3)
     signs = _check_signs(signs, n, f"cycle on {n} vertices")
-    edges = list(zip(range(1, n), range(2, n + 1), signs))
-    edges.insert(1, (1, n, signs[n - 1]))  # edge order: {1, n} sorts right after {1, 2}
-    return SignedWeightedGraph(n, tuple(edges))
+    w = np.array((signs[0], signs[-1], *signs[1:-1]))  # in the order of _walk_pairs
+    return SignedWeightedGraph.from_columns(n, *_walk_pairs(n, True), w)
 
 
 def signed_path(n: int, signs) -> SignedWeightedGraph:
     """Path 1-2-...-n with unit-magnitude signed weights; signs[k] is edge {k+1, k+2}."""
     n = _check_n(n)
     signs = _check_signs(signs, n - 1, f"path on {n} vertices")
-    return SignedWeightedGraph(n, tuple(zip(range(1, n), range(2, n + 1), signs)))
+    return SignedWeightedGraph.from_columns(n, *_walk_pairs(n, False), np.array(signs))
 
 
 # family -> (generator, the argument it takes after n: "seed", "signs" or None).

@@ -91,6 +91,16 @@ def random_int_graph(
     return SignedWeightedGraph(n, tuple(edges))
 
 
+def assert_same_graph(got: SignedWeightedGraph, want: SignedWeightedGraph) -> None:
+    """got equals want bit for bit: edges (as int, int, float), matrix, totals and caches."""
+    assert (got.n, got.edges) == (want.n, want.edges)
+    assert [type(v) for e in got.edges for v in e] == [int, int, float] * got.num_edges
+    assert got.weight_matrix.tobytes() == want.weight_matrix.tobytes()
+    assert got.total_abs_weight.hex() == want.total_abs_weight.hex()
+    assert got.pair_masks == want.pair_masks
+    assert got.adjacency == want.adjacency
+
+
 def splitmix64_reference(seed: int, count: int) -> list[int]:
     """The first count splitmix64 outputs of seed, stepped one at a time on Python ints."""
     mask = (1 << 64) - 1

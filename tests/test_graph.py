@@ -35,7 +35,7 @@ from bilingap.graph import (
     write_instance,
 )
 
-from conftest import random_int_graph, subset_weights_reference
+from conftest import assert_same_graph, random_int_graph, subset_weights_reference
 
 TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
 MIXED = SignedWeightedGraph(3, ((1, 2, 5.0), (1, 3, -2.0), (2, 3, 1.0)))
@@ -319,12 +319,156 @@ class TestColumnConstruction:
         """Column checks that reject a good list leave the walk nothing to name: exit 3."""
         path = tmp_path / "mixed.json"
         write_instance(MIXED, path)
-        monkeypatch.setattr(graph, "lt", lambda a, b: False)  # every (i, j) "out of order"
+        monkeypatch.setattr(graph, "_checked_columns", lambda n, i, j, w: None)  # every list "bad"
         with pytest.raises(InvariantViolationError, match="no bad edge"):
             SignedWeightedGraph(3, MIXED.edges)
         assert main(["hullcheck", "--instance", str(path)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("invariant violation:") and "Traceback" not in err
+
+    def test_a_one_shot_iterator_edge_does_not_hide_the_first_bad_edge(self):
+        with pytest.raises(InputError, match=re.escape("edge (1, 3) has zero weight")):
+            SignedWeightedGraph(3, (iter((1, 2, 1.0)), (1, 3, 0.0)))
+        with pytest.raises(InputError, match=re.escape("edge (2, 1) must satisfy")):
+            SignedWeightedGraph(3, ((1, 3, 1.0), iter((2, 1, 1.0))))
+
+    def test_one_shot_iterator_edges_build(self):
+        g = SignedWeightedGraph(3, (iter((2, 3, 1.0)), (x for x in (1, 2, 5.0)), [1, 3, -2.0]))
+        assert_same_graph(g, MIXED)
+        assert_same_graph(SignedWeightedGraph(3, iter(MIXED.edges)), MIXED)
+
+
+def _columns_of(edges, index_dtype, weight_dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    i, j, w = zip(*edges) if edges else ((), (), ())
+    return np.array(i, index_dtype), np.array(j, index_dtype), np.array(w, weight_dtype)
+
+
+class TestFromColumns:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_tuple_constructor(self, seed):
+        """Unsorted columns of several dtypes give the tuple-built graph bit for bit."""
+        rng = random.Random(seed)
+        for _ in range(30):
+            n = rng.randint(1, 63)
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            picked = rng.sample(pairs, rng.randint(0, min(len(pairs), 200)))
+            ints = rng.random() < 0.3
+            edges = [(i, j, rng.choice((-3, 1, 2)) if ints else rng.uniform(-1.0, 1.0) or 0.5)
+                     for i, j in picked]
+            want = SignedWeightedGraph(n, tuple(edges))
+            index_dtype = rng.choice((np.int64, np.int32, np.int8, np.uint8, np.uint64))
+            weight_dtype = rng.choice((np.int64, np.int16, np.float64)) if ints else np.float64
+            i, j, w = _columns_of(edges, index_dtype, weight_dtype)
+            got = SignedWeightedGraph.from_columns(np.int64(n) if ints else n, i, j, w)
+            assert_same_graph(got, want)
+            assert got == want
+            assert [c.dtype for c in got._columns] == [np.int64, np.int64, np.float64]
+            ref = _construction_reference(n, edges)
+            assert got.edges == ref["edges"]
+            assert got.weight_matrix.tobytes() == ref["weight_matrix"].tobytes()
+
+    def test_takes_array_likes_and_keeps_its_own_copy(self):
+        i, j, w = np.array([2, 1, 1]), np.array([3, 3, 2]), np.array([1.0, -2.0, 5.0])
+        g = SignedWeightedGraph.from_columns(3, i, j, w)
+        i[:], j[:], w[:] = 1, 2, 9.0
+        assert_same_graph(g, MIXED)
+        from_lists = SignedWeightedGraph.from_columns(3, [1, 1, 2], (2, 3, 3), [5, -2, 1])
+        assert_same_graph(from_lists, MIXED)
+
+    def test_float32_and_float16_weights_widen_exactly(self):
+        w = np.array([0.1, -2.5e-3, 7.0], np.float32)
+        g = SignedWeightedGraph.from_columns(3, [1, 1, 2], [2, 3, 3], w)
+        assert [e[2] for e in g.edges] == [float(x) for x in w]
+        g16 = SignedWeightedGraph.from_columns(3, [1], [2], np.array([0.1], np.float16))
+        assert g16.edges == ((1, 2, float(np.float16(0.1))),)
+
+    def test_no_edges(self):
+        empty = np.empty(0, np.int64)
+        g = SignedWeightedGraph.from_columns(4, empty, empty, np.empty(0))
+        assert_same_graph(g, SignedWeightedGraph(4))
+
+    @pytest.mark.parametrize(
+        "i, j, w, message",
+        [
+            ([1], [2], [True], "column w must be a 1-D array of integers or floats no wider "
+                               "than float64, got dtype bool"),
+            ([True], [2], [1.0], "column i must be a 1-D array of integers, got dtype bool"),
+            ([1], np.array([2], object), [1.0], "column j must be a 1-D array of integers, got "
+                                                "dtype object"),
+            ([1], [2], [1 + 0j], "got dtype complex128"),
+            ([1], [2], ["1.5"], "got dtype <U3"),
+            (["1"], [2], [1.0], "got dtype <U1"),
+            ([1.0], [2], [1.0], "column i must be a 1-D array of integers, got dtype float64"),
+            ([1], [2], np.array(["2020-01-01"], "datetime64[D]"), "got dtype datetime64[D]"),
+            ([[1]], [[2]], [1.0], "got dtype int64, shape (1, 1)"),
+            (1, 2, 1.0, "got dtype int64, shape ()"),
+            ([1], [2, 3], [1.0, 1.0], "edge columns differ in length: 1, 2, 2"),
+            ([1, 2], [2, 3], [1.0], "edge columns differ in length: 2, 2, 1"),
+            ([[1], [1, 2]], [2], [1.0], "edge column i is not an array"),
+        ],
+    )
+    def test_rejects_a_column_of_the_wrong_kind(self, i, j, w, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            SignedWeightedGraph.from_columns(3, i, j, w)
+
+    @pytest.mark.parametrize("n", [0, 64, True, 3.0, "3"])
+    def test_rejects_a_bad_vertex_count_as_the_tuple_constructor_does(self, n):
+        with pytest.raises((InputError, CapacityError)) as want:
+            SignedWeightedGraph(n, ((1, 2, 1.0),))
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            SignedWeightedGraph.from_columns(n, [1], [2], [1.0])
+
+    # vertex pair and weight of a bad edge on n = 6 vertices
+    BAD = {
+        "zero": (2, 4, 0.0),
+        "nan": (2, 4, math.nan),
+        "inf": (2, 4, -math.inf),
+        "i == j": (3, 3, 1.0),
+        "i > j": (5, 2, 1.0),
+        "i = 0": (0, 2, 1.0),
+        "j > n": (2, 7, 1.0),
+        "negative": (-1, 2, 1.0),
+        "int64 max": (1, 2**63 - 1, 1.0),
+        "int64 min": (-(2**63), 2, 1.0),
+        "duplicate": (1, 2, 3.0),
+    }
+
+    @pytest.mark.parametrize("first", list(BAD))
+    def test_names_the_first_bad_edge_as_the_tuple_constructor_does(self, first):
+        rng = random.Random(first)
+        valid = [(1, 2, 1.0), (1, 5, -1.0), (2, 3, 0.5), (3, 6, 2.0), (4, 5, -0.25), (5, 6, 1.0)]
+        for second in self.BAD:
+            edges = list(valid)
+            p = rng.randint(1, 3)
+            edges.insert(p, self.BAD[first])
+            edges.insert(rng.randint(p + 1, len(edges)), self.BAD[second])
+            with pytest.raises(InputError) as want:
+                SignedWeightedGraph(6, tuple(edges))
+            with pytest.raises(InputError) as got:
+                SignedWeightedGraph.from_columns(6, *_columns_of(edges, np.int64, np.float64))
+            assert str(got.value) == str(want.value), (first, second)
+            assert str(want.value) == str(_raises(lambda: _construction_reference(6, edges)))
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int8])
+    def test_a_bad_index_is_named_as_given_in_its_dtype(self, dtype):
+        big = np.iinfo(dtype).max
+        with pytest.raises(InputError, match=re.escape(f"edge (1, {big}) must satisfy")):
+            SignedWeightedGraph.from_columns(
+                3, np.array([1, 1], dtype), np.array([2, big], dtype), [1.0, 1.0]
+            )
+
+    def test_rejects_long_double_weights(self):
+        w = np.array([1.0, 2.0], np.longdouble)
+        if w.dtype.itemsize <= 8:
+            pytest.skip("long double is float64 on this platform")
+        with pytest.raises(InputError, match="no wider than float64, got dtype float"):
+            SignedWeightedGraph.from_columns(3, [1, 1], [2, 3], w)
+
+
+def _raises(build) -> Exception:
+    with pytest.raises(InputError) as caught:
+        build()
+    return caught.value
 
 
 class TestCutType:

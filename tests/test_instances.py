@@ -12,7 +12,8 @@ from bilingap.cuts import cut_range_bruteforce
 from bilingap.envelopes import EvaluationPoint, mcgap_halfpoint
 from bilingap.errors import CapacityError, InputError
 from bilingap.cli import main
-from bilingap.graph import read_instance
+from bilingap import graph
+from bilingap.graph import SignedWeightedGraph, read_instance
 from bilingap.instances import (
     INSTANCE_FAMILIES,
     hadamard_discrepancy_bound,
@@ -25,7 +26,7 @@ from bilingap.instances import (
     uniform_real_complete,
 )
 
-from conftest import splitmix64_reference
+from conftest import assert_same_graph, splitmix64_reference
 
 
 class TestRandomPm1Complete:
@@ -326,3 +327,55 @@ class TestStressAndCensusFamilies:
         assert weights == _replay_uniform_real(5, outputs)
         assert len(weights) == 10 and 0.0 not in weights.values()
         assert weights[(1, 4)] == 2.0 * ((outputs[3] >> 11) * 2.0**-53) - 1.0
+
+
+def _family_graphs(sizes, seeds):
+    """(name, graph) for every generator at the sizes it allows, built from numpy columns."""
+    for n in sizes:
+        for seed in seeds:
+            yield "random_pm1_complete", random_pm1_complete(n, seed)
+            yield "uniform_real_complete", uniform_real_complete(n, seed)
+            yield "random_signed_graph", random_signed_graph(n, seed)
+            if 2 * n <= 63:
+                yield "random_pm1_bipartite", random_pm1_bipartite(n, seed)
+            signs = [(-1.0, 1.0)[seed >> k & 1] for k in range(n)]
+            if n >= 3:
+                yield "cycle", signed_cycle(n, signs)
+            yield "path", signed_path(n, signs[1:])
+        yield "hadamard", hadamard_instance(n)
+
+
+class TestColumnBuiltFamilies:
+    def test_every_family_matches_the_tuple_constructor(self):
+        """Each generator's graph equals the tuple-built graph of its edges, shuffled or not."""
+        rng = np.random.default_rng(5)
+        seen = set()
+        for name, g in _family_graphs(range(2, 64), (0, 6, 2**64 - 1)):
+            seen.add(name)
+            assert_same_graph(g, SignedWeightedGraph(g.n, g.edges))
+            order = rng.permutation(g.num_edges)
+            shuffled = [g.edges[k] for k in order]
+            assert_same_graph(SignedWeightedGraph(g.n, tuple(shuffled)), g)
+            i, j, w = (np.array(c) for c in g._columns)
+            unsorted = SignedWeightedGraph.from_columns(g.n, i[order], j[order], w[order])
+            assert_same_graph(unsorted, g)
+            numpy_typed = tuple(zip(i[order].astype(np.int32), j[order], w[order]))  # numpy scalars
+            assert_same_graph(SignedWeightedGraph(np.int64(g.n), numpy_typed), g)
+        assert seen == {"random_pm1_complete", "uniform_real_complete", "random_signed_graph",
+                        "random_pm1_bipartite", "cycle", "path", "hadamard"}
+
+    def test_generators_never_take_the_tuple_path(self, monkeypatch):
+        """No generator builds per-edge tuples for the constructor to unzip again."""
+
+        def unzip(n, edges):
+            raise AssertionError("a generator built its graph from edge tuples")
+
+        monkeypatch.setattr(graph, "_unzip_edges", unzip)
+        for _ in _family_graphs((2, 3, 9, 31, 63), (0, 3)):
+            pass
+        for family, (generate, arg) in INSTANCE_FAMILIES.items():
+            for n in (3, 5):
+                signs = [-1.0] * (n if family == "cycle" else n - 1)
+                generate(n, *{"seed": (7,), "signs": (signs,), None: ()}[arg])
+        with pytest.raises(AssertionError, match="edge tuples"):
+            SignedWeightedGraph(3, ((1, 2, 1.0),))
