@@ -385,7 +385,28 @@ def all_subset_gamma(g: SignedWeightedGraph, absolute: bool = False) -> np.ndarr
     return subset_gamma(np.abs(w) if absolute else w)
 
 
-def subset_gamma(w: np.ndarray) -> np.ndarray:
-    """gamma weight of every subset mask of a symmetric k x k weight block (bit p <-> row p)."""
-    bits = bit_matrix(len(w))
-    return 0.5 * np.einsum("mk,mk->m", bits @ w, bits)
+_PRODUCT_BITS = 10  # tables up to this many bits come from one bit_matrix product
+
+
+def subset_gamma(q: np.ndarray) -> np.ndarray:
+    """1/2 b(m)^T q b(m) for every subset mask m of a symmetric k x k block (bit p <-> row p).
+
+    With a zero diagonal this is the gamma weight of each mask; a diagonal
+    entry 2t adds t to every mask holding its row.  Above 10 bits the table
+    doubles per bit p, gam[m + 2^p] = gam[m] + into[m, p] + q[p, p] / 2, where
+    into[m, r] is the weight from mask m into row r, kept for r >= p only, so
+    memory stays O(2^k).
+    """
+    k = len(q)
+    if k <= _PRODUCT_BITS:
+        bits = bit_matrix(k)
+        return 0.5 * np.einsum("mk,mk->m", bits @ q, bits)
+    low = _PRODUCT_BITS
+    gam = np.empty(1 << k)
+    gam[: 1 << low] = subset_gamma(q[:low, :low])
+    into = bit_matrix(low) @ q[:low, low:]
+    for p in range(low, k):
+        h = 1 << p
+        gam[h : 2 * h] = gam[:h] + into[:, 0] + 0.5 * q[p, p]
+        into = np.concatenate([into[:, 1:], into[:, 1:] + q[p, p + 1 :]])
+    return gam

@@ -181,10 +181,8 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
     xs = np.array([x.coords[v - 1] for v in frac])
     w_frac = g.weight_matrix[frac]
     w_ff = w_frac[:, frac]
-    bits = bit_matrix(f)
-    gam_f = subset_gamma(w_ff)
     to_one = w_frac[:, sorted(ones.members)].sum(axis=1)
-    c = base + bits @ to_one + gam_f
+    c = base + subset_gamma(w_ff + np.diag(2.0 * to_one))
     if f == 1:
         val = float((1.0 - xs[0]) * c[0] + xs[0] * c[1])
         return val, val
@@ -198,7 +196,7 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
         v0 = float(lam @ c)
         vals = (v0 + t_lo * slope, v0 + t_hi * slope)
         return max(vals), min(vals)
-    a_mat = np.vstack([bits.T, np.ones(1 << f)])
+    a_mat = np.vstack([bit_matrix(f).T, np.ones(1 << f)])
     b_vec = np.append(xs, 1.0)
     basis = _staircase_basis(xs)
     start = start_tableau(a_mat, b_vec, basis)
@@ -272,30 +270,20 @@ def dual_certificate(
         finite = False
     if not finite:
         raise InputError(f"mu must be a finite real number, got {mu!r}")
+    _check_subset(g, t_frac)
     verts = sorted(t_frac.members)
     k = len(verts)
     if k > _CERT_CAP:
         raise CapacityError(f"certificate validation needs |support| <= {_CERT_CAP}, got {k}")
-    _check_subset(g, t_frac)
     w = g.weight_matrix
     z = {v: 0.5 * float(ordered_sum(w[v, u] for u in verts if u != v)) for v in verts}
     y = -0.5 * mu
-    # Subset tables by iterative doubling: gamma weight and z sum per mask
-    # (mask bit p <-> verts[p]).
-    gam = np.zeros(1)
-    zsum = np.zeros(1)
-    for p, v in enumerate(verts):
-        # row[m] = weight from v into mask m over verts[:p]
-        row = np.zeros(1)
-        for u in verts[:p]:
-            row = np.concatenate([row, row + w[v, u]])
-        gam = np.concatenate([gam, gam + row])
-        zsum = np.concatenate([zsum, zsum + z[v]])
-    lhs = y + zsum
+    # slack[m] = gamma(X) - sum_{i in X} z_i for every X in t_frac (mask bit p <-> verts[p])
+    slack = subset_gamma(w[np.ix_(verts, verts)] - np.diag([2.0 * z[v] for v in verts]))
     if side == "lower_envelope":
-        bad = np.flatnonzero(lhs > gam + 1e-9)
+        bad = np.flatnonzero(y > slack + 1e-9)
     else:
-        bad = np.flatnonzero(lhs < gam - 1e-9)
+        bad = np.flatnonzero(y < slack - 1e-9)
     if bad.size:
         m = int(bad[0])
         violating = VertexSubset.from_members(verts[p] for p in range(k) if m >> p & 1)

@@ -22,7 +22,8 @@ from bilingap.cuts import (
     max_cut_bruteforce,
     min_cut_bruteforce,
 )
-from bilingap.errors import CapacityError, InputError
+from bilingap.envelopes import dual_certificate
+from bilingap.errors import CapacityError, CertificateError, InputError
 from bilingap.graph import (
     SignedWeightedGraph,
     VertexSubset,
@@ -360,6 +361,63 @@ class TestAllSubsetTables:
             all_subset_cut_extremes(g)
         with pytest.raises(CapacityError):
             all_subset_gamma(g)
+
+
+def _subset_gamma_reference(q: np.ndarray) -> np.ndarray:
+    """1/2 b^T q b mask by mask, each summed exactly with fsum."""
+    k = len(q)
+    rows = q.tolist()
+    out = np.empty(1 << k)
+    for m in range(1 << k):
+        on = [p for p in range(k) if m >> p & 1]
+        out[m] = 0.5 * math.fsum(rows[r][s] for r in on for s in on)
+    return out
+
+
+def _symmetric(rng: np.random.Generator, k: int, integer: bool) -> np.ndarray:
+    a = rng.integers(-4, 5, size=(k, k)).astype(np.float64) if integer else rng.normal(size=(k, k))
+    return a + a.T  # nonzero diagonal
+
+
+class TestSubsetGamma:
+    @pytest.mark.parametrize("k", range(13))
+    def test_matches_the_per_mask_form(self, k):
+        rng = np.random.default_rng(k)
+        q_int = _symmetric(rng, k, integer=True)
+        assert cuts.subset_gamma(q_int).tobytes() == _subset_gamma_reference(q_int).tobytes()
+        q_real = _symmetric(rng, k, integer=False)
+        np.testing.assert_allclose(
+            cuts.subset_gamma(q_real), _subset_gamma_reference(q_real), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_up_to_ten_bits_is_one_product(self, k):
+        # the single bit_matrix product, bit for bit, for any weights
+        q = _symmetric(np.random.default_rng(100 + k), k, integer=False)
+        bits = cuts.bit_matrix(k)
+        want = 0.5 * np.einsum("mk,mk->m", bits @ q, bits)
+        assert cuts.subset_gamma(q).tobytes() == want.tobytes()
+
+    def test_k18_memory_stays_linear_in_the_table(self):
+        # a (2^18, 18) bit product alone would be ~38 MB; the table is 2 MiB
+        q = _symmetric(np.random.default_rng(18), 18, integer=True)
+        tracemalloc.start()
+        try:
+            cuts.subset_gamma(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_certificate_at_a_20_vertex_support(self):
+        g = random_int_graph(2020, 20)
+        (mu_plus, _), (mu_minus, _) = extreme_cuts(g, g.vertices)
+        dual_certificate(g, g.vertices, mu_plus, "lower_envelope")
+        dual_certificate(g, g.vertices, mu_minus, "upper_envelope")
+        with pytest.raises(CertificateError):
+            dual_certificate(g, g.vertices, mu_plus - 1.0, "lower_envelope")
+        with pytest.raises(CertificateError):
+            dual_certificate(g, g.vertices, mu_minus + 1.0, "upper_envelope")
 
 
 def _subset_extremes_reference(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -21,14 +21,15 @@ from bilingap.envelopes import (
     mccormick_envelopes,
     mcgap_halfpoint,
 )
-from bilingap import envelopes, simplex
+from bilingap import cuts, envelopes, simplex
 from bilingap.cli import main
+from bilingap.cuts import all_subset_gamma
 from bilingap.errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from bilingap.graph import SignedWeightedGraph, VertexSubset, gamma_weight, write_instance
 from bilingap.instances import hadamard_instance
 from bilingap.simplex import solve_min
 
-from conftest import oracle_hull, oracle_mu, random_int_graph
+from conftest import enumerate_cut_values, oracle_hull, oracle_mu, random_int_graph
 
 TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
 EDGE = SignedWeightedGraph(2, ((1, 2, 1.0),))
@@ -424,6 +425,33 @@ class TestDualCertificate:
         with pytest.raises(CapacityError):
             dual_certificate(g, VertexSubset.full(21), 0.0, "lower_envelope")
 
+    def test_subset_outside_the_graph_is_an_input_error(self):
+        # checked before the size cap, as in extreme_cuts
+        g = SignedWeightedGraph(5, ((1, 2, 1.0),))
+        with pytest.raises(InputError):
+            dual_certificate(g, VertexSubset.full(21), 0.0, "lower_envelope")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witness_is_the_first_violating_mask(self, seed):
+        g = random_int_graph(seed * 7 + 3, 1 + seed % 6)
+        for mask in range(1 << g.n):
+            x = VertexSubset(mask)
+            verts = sorted(x.members)
+            cuts_by_mask = enumerate_cut_values(g, x)
+            mu_plus, mu_minus = oracle_mu(g, x)
+            dual_certificate(g, x, mu_plus - 1e-9, "lower_envelope")
+            dual_certificate(g, x, mu_minus + 1e-9, "upper_envelope")
+            for d in (0.5, 1.0, 3.0):
+                for side, mu, violates in (
+                    ("lower_envelope", mu_plus - d, lambda c, mu: c > mu + 2e-9),
+                    ("upper_envelope", mu_minus + d, lambda c, mu: c < mu - 2e-9),
+                ):
+                    first = next(m for m, c in cuts_by_mask.items() if violates(c, mu))
+                    with pytest.raises(CertificateError) as info:
+                        dual_certificate(g, x, mu, side)
+                    want = [verts[p] for p in range(len(verts)) if first >> p & 1]
+                    assert sorted(info.value.violating_subset.members) == want
+
     def test_objective_matches_primal_all_subsets(self):
         for seed in range(8):
             g = random_int_graph(seed * 13 + 1, 6)
@@ -435,6 +463,49 @@ class TestDualCertificate:
                 hi = dual_certificate(g, x, mu_minus, "upper_envelope")
                 assert lo.objective == pytest.approx(0.5 * (gam - mu_plus), abs=1e-9)
                 assert hi.objective == pytest.approx(0.5 * (gam - mu_minus), abs=1e-9)
+
+
+def _counted(calls: list, fn):
+    def wrapper(*args):
+        calls.append(len(args[0]))
+        return fn(*args)
+
+    return wrapper
+
+
+class TestOneTableBuilder:
+    """Every per-mask weight table comes from cuts.subset_gamma, built once per call."""
+
+    def test_certificate_builds_one_table(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(envelopes, "subset_gamma", _counted(calls, cuts.subset_gamma))
+        g = random_int_graph(11, 5)
+        for mask in (0, 0b1, 0b10110, 0b11111):
+            x = VertexSubset(mask)
+            mu_plus, mu_minus = oracle_mu(g, x)
+            dual_certificate(g, x, mu_plus, "lower_envelope")
+            dual_certificate(g, x, mu_minus, "upper_envelope")
+        assert calls == [0, 0, 1, 1, 3, 3, 5, 5]
+
+    def test_hull_lp_builds_one_table_when_a_coordinate_is_fractional(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(envelopes, "subset_gamma", _counted(calls, cuts.subset_gamma))
+        g = random_int_graph(12, 5)
+        points = (
+            (0.0, 1.0, 1.0, 0.0, 1.0),  # f = 0: no table
+            (0.3, 1.0, 0.0, 1.0, 1.0),
+            (0.3, 0.6, 0.0, 1.0, 1.0),
+            (0.3, 0.6, 0.2, 0.9, 1.0),
+        )
+        for coords in points:
+            hull_envelopes_lp(g, EvaluationPoint(coords))
+        assert calls == [1, 2, 4]
+
+    def test_all_subset_gamma_reaches_the_builder_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cuts, "subset_gamma", _counted(calls, cuts.subset_gamma))
+        all_subset_gamma(random_int_graph(13, 6), absolute=True)
+        assert calls == [6]
 
 
 class TestGapReport:
