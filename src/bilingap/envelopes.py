@@ -32,7 +32,7 @@ from .graph import (
     gamma_weight,
     ordered_sum,
 )
-from .simplex import bit_matrix, solve_min, start_tableau
+from .simplex import bit_matrix, solve_min
 
 LP_SIZE_CAP = 16
 _ZERO = 1e-12  # gap values at or below this are treated as exactly zero
@@ -143,20 +143,21 @@ def mcgap_halfpoint(g: SignedWeightedGraph, x: EvaluationPoint) -> float:
     return 0.5 * gamma_abs_weight(g, x.fractional_support)
 
 
-def _staircase_basis(xs: np.ndarray) -> np.ndarray:
-    """Feasible starting basis: cube vertices along the coordinate-descending path.
+def _staircase_start(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, B^-1 [A | b]) at the staircase start of the vertex LP, in closed form.
 
-    Writes x as a convex combination of the chain of vertices obtained by
-    switching coordinates on one at a time in decreasing coordinate order,
-    which is a (possibly degenerate) basic feasible solution.
+    b_vec = (x, 1).  The basis is the vertex chain that switches coordinates
+    on one at a time in decreasing order of x (ties to the lower index).  B^-1 is
+    row differences: the convexity row, then the rows of [A | b] in that
+    order, each minus the row after it.  So every coefficient is -1, 0 or 1
+    and the basic values 1 - x_p1, x_p1 - x_p2, ..., x_pf are exact, >= 0.
     """
-    order = sorted(range(len(xs)), key=lambda p: (-xs[p], p))
-    basis = [0]
-    m = 0
-    for p in order:
-        m |= 1 << p
-        basis.append(m)
-    return np.array(basis, dtype=np.int64)
+    f = len(b_vec) - 1
+    order = np.argsort(-b_vec[:f], kind="stable")
+    basis = np.append(0, np.cumsum(1 << order))
+    reduced = np.column_stack([a_mat, b_vec])[np.append(f, order)]
+    reduced[:-1] -= reduced[1:]
+    return basis, reduced
 
 
 def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float, float]:
@@ -165,8 +166,10 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
     Coordinates that are exactly 0 or 1 force every vertex of positive weight
     to agree there (their marginal constraints pin the combination), so the LP
     is solved over the remaining fractional subcube with the dense primal
-    simplex of bilingap.simplex, which certifies each side's value by weak
-    duality (InvariantViolationError if the certificate fails).  Capped at
+    simplex of bilingap.simplex.  Both sides start from one staircase tableau
+    built in closed form (_staircase_start), and each side's value is
+    certified primal feasible and optimal by weak duality
+    (InvariantViolationError if the certificate fails).  Capped at
     n <= LP_SIZE_CAP.
     """
     _check_point(g, x)
@@ -198,8 +201,7 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
         return max(vals), min(vals)
     a_mat = np.vstack([bit_matrix(f).T, np.ones(1 << f)])
     b_vec = np.append(xs, 1.0)
-    basis = _staircase_basis(xs)
-    start = start_tableau(a_mat, b_vec, basis)
+    basis, start = _staircase_start(a_mat, b_vec)
     vex, _ = solve_min(a_mat, b_vec, c, basis, start)
     neg_cav, _ = solve_min(a_mat, b_vec, -c, basis, start)
     return -neg_cav, vex

@@ -4,9 +4,10 @@ Built for the hypercube-vertex convex-combination LPs in this package: few
 rows (coordinate marginals plus a convexity row), up to 2^16 columns.  Enters
 on the most negative reduced cost (Dantzig) and falls back to Bland's
 anti-cycling rule after a run of degenerate pivots; the tolerance is 1e-9.
-Each pivot is a row-normalized outer-product update in numpy; only the ratio
-test over the few rows runs as a Python loop.  Every optimum is certified by
-weak duality from the original data before it is returned.
+The caller supplies the start tableau B^-1 [A | b].  Each pivot is a
+row-normalized outer-product update in numpy; only the ratio test over the few
+rows runs as a Python loop.  Every optimum is checked primal feasible and
+certified by weak duality from the original data before it is returned.
 """
 
 from __future__ import annotations
@@ -96,41 +97,31 @@ def _pivot_loop(tab, basis, tol, max_iter):
     return -1
 
 
-def start_tableau(a_mat: np.ndarray, b_vec: np.ndarray, basis) -> np.ndarray:
-    """Constraint rows B^-1 [A | b] of the tableau at a basic feasible start.
-
-    They do not depend on the cost vector, so LPs that share A, b and the
-    start basis (min c.x and min -c.x) build them once.  Raises
-    InvariantViolationError if the basis is singular or not primal feasible.
-    """
-    try:
-        reduced = np.linalg.solve(a_mat[:, basis], np.column_stack([a_mat, b_vec]))
-    except np.linalg.LinAlgError as exc:
-        raise InvariantViolationError(f"singular starting basis: {exc}") from None
-    if np.any(reduced[:, -1] < -TOLERANCE):
-        raise InvariantViolationError("starting basis is not primal feasible")
-    return reduced
-
-
-def _certify(a_mat, b_vec, c_vec, basis, value) -> None:
+def _certify(a_mat, b_vec, c_vec, basis, x_basic, value) -> None:
     """Prove value = min c.x over A x = b, x >= 0 by weak duality, or raise.
 
-    Solves B^T pi = c_B from the original a_mat, not from the pivoted
-    tableau, and checks that pi prices every column at >= -tol (one matvec)
-    and that pi.b equals value within tol; with the basic solution feasible,
-    no x does better than value - tol.  tol scales with max|c|, since
-    instance weights go up to 1e300.  Raises InvariantViolationError if a
-    check fails.
+    Checks that the basic solution x_basic is >= -tol, then solves
+    B^T pi = c_B from the original a_mat, not from the pivoted tableau, and
+    checks that pi prices every column at >= -tol (one matvec) and that pi.b
+    equals value within tol; with the basic solution feasible, no x does
+    better than value - tol.  tol scales with max|c|, since instance weights
+    go up to 1e300.  Raises InvariantViolationError if a check fails.
     """
     try:
         pi = np.linalg.solve(a_mat[:, basis].T, c_vec[basis])
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"singular final basis: {exc}") from None
+    low = float(x_basic.min())
     slack = float((c_vec - pi @ a_mat).min())
     gap = abs(float(pi @ b_vec) - value)
-    if slack >= -TOLERANCE and gap <= TOLERANCE:
+    if low >= -TOLERANCE and slack >= -TOLERANCE and gap <= TOLERANCE:
         return  # passes at the smallest tol; skips the max|c| pass
     tol = TOLERANCE * max(1.0, float(np.abs(c_vec).max()))
+    if not low >= -tol:
+        raise InvariantViolationError(
+            f"simplex basic solution is not primal feasible (smallest basic value "
+            f"{low:.3g}, tolerance {tol:.3g})"
+        )
     if not (slack >= -tol and gap <= tol):
         raise InvariantViolationError(
             f"simplex optimum fails its dual certificate (dual slack {slack:.3g}, "
@@ -143,18 +134,17 @@ def solve_min(
     b_vec: np.ndarray,
     c_vec: np.ndarray,
     basis: np.ndarray,
-    reduced: np.ndarray | None = None,
+    reduced: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Minimize c.x subject to A x = b, x >= 0, from a given basic feasible start.
 
     basis lists the column indices of a feasible basis (nonsingular, basic
-    solution >= 0).  reduced, if given, must be start_tableau(a_mat, b_vec,
-    basis); it is read, never written.  Returns (optimal objective value,
-    optimal solution); the value has passed the dual certificate of _certify.
+    solution >= 0) and reduced is its (m, ncols+1) tableau B^-1 [A | b]; it
+    is read, never written, so LPs that share A, b and the start (min c.x
+    and min -c.x) share it.  Returns (optimal objective value, optimal
+    solution); the solution and value have passed _certify.
     """
     m, ncols = a_mat.shape
-    if reduced is None:
-        reduced = start_tableau(a_mat, b_vec, basis)
     basis = np.array(basis, dtype=np.int64)  # private copy; the pivot loop mutates it
     tab = np.empty((m + 1, ncols + 1))
     tab[:m] = reduced
@@ -170,7 +160,7 @@ def solve_min(
     # Recompute the objective from the final basic solution to shed pivot drift.
     x_basic = tab[:m, ncols]
     value = float(c_vec[basis] @ x_basic)
-    _certify(a_mat, b_vec, c_vec, basis, value)
+    _certify(a_mat, b_vec, c_vec, basis, x_basic, value)
     solution = np.zeros(ncols)
     solution[basis] = x_basic
     return value, solution

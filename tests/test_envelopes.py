@@ -27,7 +27,6 @@ from bilingap.cuts import all_subset_gamma
 from bilingap.errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from bilingap.graph import SignedWeightedGraph, VertexSubset, gamma_weight, write_instance
 from bilingap.instances import hadamard_instance
-from bilingap.simplex import solve_min
 
 from conftest import enumerate_cut_values, oracle_hull, oracle_mu, random_int_graph
 
@@ -178,7 +177,7 @@ class TestHullLp:
         assert cav == pytest.approx(bx, abs=1e-12)
         assert vex == pytest.approx(bx, abs=1e-12)
 
-    def test_one_start_tableau_per_lp(self, monkeypatch):
+    def test_linalg_solve_only_for_the_certificates(self, monkeypatch):
         g = random_int_graph(11, 5, edge_prob=0.9)
         x = EvaluationPoint.from_iterable((0.3, 0.45, 0.6, 0.15, 0.8))
         solve = np.linalg.solve
@@ -189,16 +188,10 @@ class TestHullLp:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        cav, vex = hull_envelopes_lp(g, x)
-        # One start solve B^-1 [A | b] shared by both sides, then one dual
-        # solve B^T pi = c_B per side for its certificate.
-        assert calls == [((6, 6), (6, 33)), ((6, 6), (6,)), ((6, 6), (6,))]
-        # Both sides give the same doubles as when each builds its own start.
-        monkeypatch.setattr(
-            envelopes, "solve_min", lambda a, b, c, basis, reduced: solve_min(a, b, c, basis)
-        )
-        fresh = hull_envelopes_lp(g, x)
-        assert (cav.hex(), vex.hex()) == (fresh[0].hex(), fresh[1].hex())
+        hull_envelopes_lp(g, x)
+        # The start tableau is built in closed form; the only solves are the
+        # dual solve B^T pi = c_B of each side's certificate.
+        assert calls == [((6, 6), (6,)), ((6, 6), (6,))]
 
     def test_size_cap(self):
         g = SignedWeightedGraph(17, ((1, 2, 1.0),))
@@ -251,6 +244,28 @@ class TestHullLp:
         assert code == 3
         assert out == ""
         assert "dual certificate" in err and "Traceback" not in err
+
+    def test_certificate_rejects_a_negative_basic_value(self, monkeypatch, capsys, tmp_path):
+        g = random_int_graph(11, 5, edge_prob=0.9)
+        coords = (0.3, 0.45, 0.6, 0.15, 0.8)
+        real_loop = simplex._pivot_loop
+
+        def negated(tab, basis, tol, max_iter):
+            status = real_loop(tab, basis, tol, max_iter)
+            i = tab[:-1, -1].argmax()  # > 0: the basic values sum to 1
+            tab[i, -1] = -tab[i, -1]
+            return status
+
+        monkeypatch.setattr(simplex, "_pivot_loop", negated)
+        with pytest.raises(InvariantViolationError, match="not primal feasible"):
+            hull_envelopes_lp(g, EvaluationPoint.from_iterable(coords))
+        path = str(tmp_path / "g.json")
+        write_instance(g, path)
+        code = main(["eval", "--instance", path, "--point", ",".join(map(str, coords))])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert "not primal feasible" in err and "Traceback" not in err
 
     def test_large_weights_certify(self, capsys, tmp_path):
         # Rounding in the duals grows with |c| ~ 1e13 here, far above an

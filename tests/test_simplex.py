@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilingap import simplex
-from bilingap.envelopes import _staircase_basis
+from bilingap.envelopes import _staircase_start
 from bilingap.errors import InvariantViolationError
 from bilingap.simplex import _pivot_loop, bit_matrix, sign_matrix, solve_min
 
@@ -22,13 +22,22 @@ def test_sign_matrix_small():
     assert np.all(sign_matrix(3) == 1 - 2 * bit_matrix(3))
 
 
+def _start_tableau(a, b, c, basis):
+    """Extended tableau of min c.x, a x = b, x >= 0 at the given basis."""
+    m, ncols = a.shape
+    tab = np.zeros((m + 1, ncols + 1))
+    bmat = a[:, basis]
+    tab[:m, :ncols] = np.linalg.solve(bmat, a)
+    tab[:m, ncols] = np.linalg.solve(bmat, b)
+    tab[m, :ncols] = c - c[basis] @ tab[:m, :ncols]
+    tab[m, ncols] = -c[basis] @ tab[:m, ncols]
+    return tab
+
+
 def _solve_with_basis(a, b, c, basis):
-    return solve_min(
-        np.asarray(a, dtype=np.float64),
-        np.asarray(b, dtype=np.float64),
-        np.asarray(c, dtype=np.float64),
-        np.asarray(basis, dtype=np.int64),
-    )
+    a, b, c = (np.asarray(v, dtype=np.float64) for v in (a, b, c))
+    basis = np.asarray(basis, dtype=np.int64)
+    return solve_min(a, b, c, basis, _start_tableau(a, b, c, basis)[:-1])
 
 
 def test_min_over_simplex_picks_cheapest_vertex():
@@ -127,9 +136,12 @@ def test_matches_scipy_on_random_feasible_lps(problem):
     if len(basis) < m:
         return  # rank-deficient row set; solver requires a full basis
     try:
-        val, sol = solve_min(a, b, c, np.array(basis, dtype=np.int64))
-    except InvariantViolationError:
-        return  # greedy basis was infeasible for the equality system
+        start = _start_tableau(a, b, c, basis)[:-1]
+    except np.linalg.LinAlgError:
+        return  # greedy basis is numerically singular
+    if np.any(start[:, -1] < -simplex.TOLERANCE):
+        return  # greedy basis is infeasible for the equality system
+    val, sol = solve_min(a, b, c, np.array(basis, dtype=np.int64), start)
     assert val == pytest.approx(ref.fun, abs=1e-7)
     assert np.allclose(a @ sol, b, atol=1e-7)
     assert np.all(sol >= -1e-9)
@@ -187,16 +199,36 @@ def _elementwise_pivot_loop(tab, basis, tol, max_iter, degenerate_run):
     return -1
 
 
-def _start_tableau(a, b, c, basis):
-    """Extended tableau of min c.x, a x = b, x >= 0 at the given basis."""
-    m, ncols = a.shape
-    tab = np.zeros((m + 1, ncols + 1))
-    bmat = a[:, basis]
-    tab[:m, :ncols] = np.linalg.solve(bmat, a)
-    tab[:m, ncols] = np.linalg.solve(bmat, b)
-    tab[m, :ncols] = c - c[basis] @ tab[:m, :ncols]
-    tab[m, ncols] = -c[basis] @ tab[:m, ncols]
-    return tab
+def _staircase_points(f):
+    """20 seeded fractional points of dimension f: repeated coordinates, 0.5s and
+    values within 1e-12 of 0 and 1 mixed into uniform draws."""
+    rnd = np.random.default_rng(f)
+    near = [0.5, 1e-13, 7e-13, 1.0 - 1e-13, 1.0 - 7e-13]
+    points = []
+    for k in range(20):
+        xs = rnd.uniform(0.0, 1.0, size=f)
+        picks = rnd.random(f) < 0.3
+        xs[picks] = rnd.choice(near, size=int(picks.sum()))
+        if k % 2:
+            xs[rnd.integers(f)] = xs[rnd.integers(f)]
+        if k % 5 == 0:
+            xs[: f // 2] = xs[f - 1]
+        points.append(xs)
+    return points
+
+
+@pytest.mark.parametrize("f", range(3, 13))
+def test_staircase_start_is_the_closed_form_inverse(f):
+    a = np.vstack([bit_matrix(f).T, np.ones(1 << f)])
+    for xs in _staircase_points(f):
+        b = np.append(xs, 1.0)
+        basis, reduced = _staircase_start(a, b)
+        order = sorted(range(f), key=lambda p: (-xs[p], p))
+        assert basis.tolist() == np.cumsum([0] + [1 << p for p in order]).tolist()
+        assert np.isin(reduced[:, :-1], (-1.0, 0.0, 1.0)).all()
+        lu = np.linalg.solve(a[:, basis], np.column_stack([a, b]))
+        assert np.abs(reduced - lu).max() <= 1e-12
+        assert (reduced[:, -1] >= 0.0).all()
 
 
 def test_pivot_loop_matches_elementwise_reference():
@@ -220,7 +252,7 @@ def _assert_vertex_lp_matches_reference(xs, run):
     xs = np.array(xs)
     a = np.vstack([bit_matrix(5).T, np.ones(32)])
     c = np.random.default_rng(7).integers(-9, 10, size=32).astype(np.float64)
-    basis = _staircase_basis(xs)
+    basis, _ = _staircase_start(a, np.append(xs, 1.0))
     tab = _start_tableau(a, np.append(xs, 1.0), c, basis)
     tab2, basis2 = tab.copy(), basis.copy()
     it1 = _pivot_loop(tab, basis, 1e-9, 1000)
