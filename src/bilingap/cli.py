@@ -63,6 +63,8 @@ def _parse_subset(spec: str | None, n: int) -> VertexSubset:
             raise InputError(f"bad vertex label {p!r}")
         if not 1 <= v <= n:
             raise InputError(f"vertex {v} outside 1..{n}")
+        if v in members:
+            raise InputError(f"vertex {v} repeated")
         members.append(v)
     return VertexSubset.from_members(members)
 

@@ -45,12 +45,16 @@ class EvaluationPoint:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for idx, c in enumerate(self.coords, start=1):
+        try:
+            coords = tuple(self.coords)  # read once: coords may be a one-shot iterator
+        except TypeError:
+            raise InputError(f"coordinates must be real numbers, got {self.coords!r}") from None
+        for idx, c in enumerate(coords, start=1):
             if not _is_real(c):
                 raise InputError(f"coordinate {idx} = {c!r} is not a real number")
             if not 0 <= c <= 1:
                 raise InputError(f"coordinate {idx} = {c!r} is outside [0, 1]")
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(float, coords)))
 
     @classmethod
     def of(cls, *coords: float) -> "EvaluationPoint":
@@ -198,7 +202,7 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
         t_hi = min(lam[1], lam[2])
         v0 = float(lam @ c)
         vals = (v0 + t_lo * slope, v0 + t_hi * slope)
-        return max(vals), min(vals)
+        return float(max(vals)), float(min(vals))
     a_mat = np.vstack([bit_matrix(f).T, np.ones(1 << f)])
     b_vec = np.append(xs, 1.0)
     basis, start = _staircase_start(a_mat, b_vec)

@@ -15,7 +15,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -61,8 +60,10 @@ class VertexSubset:
     def full(cls, n: int) -> "VertexSubset":
         if not _is_int(n):
             raise InputError(f"vertex count must be an integer, got {n!r}")
-        if not 0 <= n <= MAX_VERTICES:
-            raise CapacityError(f"full subset needs 0 <= n <= {MAX_VERTICES}, got {n}")
+        if n < 0:
+            raise InputError(f"vertex count must be non-negative, got {n}")
+        if n > MAX_VERTICES:
+            raise CapacityError(f"full subset needs n <= {MAX_VERTICES}, got {n}")
         return cls((1 << n) - 1)
 
     @property
@@ -132,50 +133,15 @@ def ascii_float(token: str) -> float:
     return float(token)
 
 
-def _read_once(edges: Iterable) -> tuple:
-    """The edges as a tuple, each edge that is its own iterator read into a tuple.
-
-    The unzip and the bad-edge walk must both see an edge's values, and a
-    one-shot iterator yields them only once.
-    """
-    edges = tuple(edges)
-    if {*map(type, edges)} <= {tuple, list}:
-        return edges
-    return tuple(tuple(e) if isinstance(e, Iterator) else e for e in edges)
-
-
-def _unzip_edges(n: int, edges: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """int64 (i, j) and float64 weight columns of an edge tuple, in input order.
-
-    An edge that is not a triple of an integer, an integer and a real number
-    goes to _raise_first_bad_edge.
-    """
-    if not edges:
-        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
-    try:
-        i, j, w = zip(*edges, strict=True)  # TypeError or ValueError: not all triples
-        exact_ij = {*map(type, i), *map(type, j)} == {int}  # exact types skip conversion
-        exact_w = {*map(type, w)} == {float}
-        if (exact_ij or all(map(_is_int, i + j))) and (exact_w or all(map(_is_real, w))):
-            if not exact_ij:
-                i, j = tuple(map(int, i)), tuple(map(int, j))
-            if not exact_w:
-                w = tuple(map(float, w))  # OverflowError: an integer beyond the float range
-            # OverflowError: an index beyond the int64 range
-            return np.array(i, np.int64), np.array(j, np.int64), np.array(w, float)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    _raise_first_bad_edge(n, edges)
-
-
 def _checked_columns(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """int64 (i, j) and float64 weight columns sorted by (i, j), and the weight matrix.
 
     i and j may be of any integer dtype and w of any integer or float dtype
     that float64 holds. The checks run over whole columns and only tell good
-    columns from bad ones: bad columns give None, and the caller walks the
-    edges with _raise_first_bad_edge to name the first bad one.
+    columns from bad ones: bad columns give None. from_columns then walks its
+    edges with _edge_columns to name the first bad one; the tuple constructor's
+    edges have already passed that walk.
     """
     m = len(w)
     try:
@@ -198,9 +164,14 @@ def _checked_columns(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray
     return i, j, w, matrix
 
 
-def _raise_first_bad_edge(n: int, edges: Iterable) -> NoReturn:
-    """Raise the InputError of the first bad edge in input order, checked edge by edge."""
+def _edge_columns(n: int, edges: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 (i, j) and float64 weight columns of the edges, in input order.
+
+    One pass checks edge by edge, so the first bad edge in input order raises
+    its InputError and an edge that is a one-shot iterator is read only once.
+    """
     seen = set()
+    rows_i, rows_j, rows_w = [], [], []
     for e in edges:
         try:
             i, j, w = e
@@ -223,7 +194,10 @@ def _raise_first_bad_edge(n: int, edges: Iterable) -> NoReturn:
         if (i, j) in seen:
             raise InputError(f"duplicate edge ({i}, {j})")
         seen.add((i, j))
-    raise InvariantViolationError("the edge column checks rejected a list with no bad edge")
+        rows_i.append(i)
+        rows_j.append(j)
+        rows_w.append(w)
+    return np.array(rows_i, np.int64), np.array(rows_j, np.int64), np.array(rows_w, float)
 
 
 def _vertex_count(n) -> int:
@@ -264,11 +238,7 @@ class SignedWeightedGraph:
 
     def __post_init__(self) -> None:
         n = _vertex_count(self.n)
-        edges = _read_once(self.edges)
-        columns = _checked_columns(n, *_unzip_edges(n, edges))
-        if columns is None:
-            _raise_first_bad_edge(n, edges)
-        self._store(n, *columns)
+        self._store(n, _checked_columns(n, *_edge_columns(n, self.edges)))
 
     @classmethod
     def from_columns(cls, n: int, i, j, w) -> "SignedWeightedGraph":
@@ -278,7 +248,8 @@ class SignedWeightedGraph:
         floats no wider than float64, all of one length; array-likes are read
         with np.asarray. Any other dtype (bool, object, complex, string, long
         double, ...), shape or length raises InputError, and no value is
-        coerced. A bad value raises the tuple constructor's error for the
+        coerced. The columns are checked whole; only when they fail does the
+        tuple constructor's per-edge walk run, to raise its error for the
         first bad edge in column order.
         """
         n = _vertex_count(n)
@@ -287,14 +258,16 @@ class SignedWeightedGraph:
             raise InputError(f"edge columns differ in length: {len(i)}, {len(j)}, {len(w)}")
         columns = _checked_columns(n, i, j, w)
         if columns is None:
-            _raise_first_bad_edge(n, zip(i.tolist(), j.tolist(), w.tolist()))
+            _edge_columns(n, zip(i.tolist(), j.tolist(), w.tolist()))  # names the first bad edge
         g = cls.__new__(cls)
-        g._store(n, *columns)
+        g._store(n, columns)
         return g
 
-    def _store(self, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
-               matrix: np.ndarray) -> None:
+    def _store(self, n: int, columns: tuple[np.ndarray, ...] | None) -> None:
         """Set the fields from _checked_columns' output, which the graph alone holds."""
+        if columns is None:  # _edge_columns found no bad edge
+            raise InvariantViolationError("the edge column checks rejected a list with no bad edge")
+        i, j, w, matrix = columns
         matrix.setflags(write=False)
         vars(self).update(  # what object.__setattr__ does for a frozen dataclass, in one call
             n=n,

@@ -208,6 +208,13 @@ class TestMaxcut:
         assert res["subset"] == [1, 2]
         assert res["mu_plus"] == 1.0
 
+    def test_repeated_subset_label_exits_1(self, capsys, tmp_path):
+        inst = write_triangle(tmp_path)
+        code, out, err = run_cli(capsys, "maxcut", "--instance", inst, "--subset", "1,1,2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "vertex 1 repeated" in err
+
     def test_one_enumeration_pass(self, capsys, tmp_path, enumeration_calls):
         inst = write_triangle(tmp_path)
         code, out_text, _ = run_cli(capsys, "maxcut", "--instance", inst)

@@ -69,6 +69,16 @@ class TestEvaluationPoint:
     def test_of_varargs(self):
         assert EvaluationPoint.of(0.5, 1.0).coords == (0.5, 1.0)
 
+    def test_reads_a_one_shot_iterator_once(self):
+        assert EvaluationPoint(iter([0.5, 0.25])).coords == (0.5, 0.25)
+        with pytest.raises(InputError, match="coordinate 2"):
+            EvaluationPoint(x for x in (0.5, 1.5))
+
+    @pytest.mark.parametrize("coords", [5, 0.5, None])
+    def test_rejects_coordinates_that_are_not_iterable(self, coords):
+        with pytest.raises(InputError, match="coordinates must be real numbers"):
+            EvaluationPoint(coords)
+
     @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None, np.float64(3.0), -1])
     def test_all_half_rejects_a_non_integer_count(self, n):
         with pytest.raises(InputError, match="coordinate count"):
@@ -169,6 +179,18 @@ class TestHullLp:
         cav, vex = hull_envelopes_lp(TRIANGLE, EvaluationPoint.all_half(3))
         assert cav == pytest.approx(1.5, abs=1e-9)
         assert vex == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "coords", [(0.0, 1.0, 1.0), (0.3, 1.0, 1.0), (0.3, 0.6, 1.0), (0.3, 0.6, 0.2)]
+    )
+    def test_every_branch_returns_floats(self, coords):
+        """f = 0, 1, 2 and >= 3 fractional coordinates, in the LP and in gap_report."""
+        g = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, -2.0), (2, 3, 1.5)))
+        x = EvaluationPoint(coords)
+        assert [type(v) for v in hull_envelopes_lp(g, x)] == [float, float]
+        rep = gap_report(g, x)
+        for key in ("mcu", "mcl", "cav", "vex", "mcgap", "chgap", "ratio"):
+            assert type(getattr(rep, key)) is float, key
 
     def test_binary_point_is_tight(self):
         x = EvaluationPoint.from_iterable((1.0, 0.0, 1.0))

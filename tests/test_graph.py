@@ -84,6 +84,8 @@ class TestVertexSubset:
             VertexSubset.from_members([64])
         with pytest.raises(CapacityError):
             VertexSubset.full(64)
+        with pytest.raises(InputError, match="vertex count must be non-negative"):
+            VertexSubset.full(-1)
 
     @pytest.mark.parametrize("member", [1.7, 2.0, True, "3", None])
     def test_rejects_non_integer_members(self, member):

@@ -365,12 +365,12 @@ class TestColumnBuiltFamilies:
                         "random_pm1_bipartite", "cycle", "path", "hadamard"}
 
     def test_generators_never_take_the_tuple_path(self, monkeypatch):
-        """No generator builds per-edge tuples for the constructor to unzip again."""
+        """No generator builds per-edge tuples for the constructor to walk again."""
 
-        def unzip(n, edges):
+        def walk(n, edges):
             raise AssertionError("a generator built its graph from edge tuples")
 
-        monkeypatch.setattr(graph, "_unzip_edges", unzip)
+        monkeypatch.setattr(graph, "_edge_columns", walk)
         for _ in _family_graphs((2, 3, 9, 31, 63), (0, 3)):
             pass
         for family, (generate, arg) in INSTANCE_FAMILIES.items():
