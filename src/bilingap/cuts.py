@@ -25,6 +25,7 @@ from .rng import bits, draws
 from .simplex import bit_matrix, sign_matrix
 
 ENUMERATION_CAP = 26
+_SLACK = 1e-12  # float slack of the cut search's comparisons, times the total |weight|
 _BLOCK_ENTRIES = 1 << 18  # max float64 entries per enumeration block (2 MiB, one L2)
 
 
@@ -145,13 +146,14 @@ def half_weight_partition(
     move any vertex whose incident absolute weight is majority non-crossing,
     sweeping vertices in ascending order until stable.  At a local optimum
     every vertex has at least half its incident absolute weight crossing, so
-    the crossing total is at least half the graph total.  Sides are labeled so
+    the crossing total is at least half the graph total.  A move must gain
+    more than the float slack, so a tie never moves.  Sides are labeled so
     vertex 1 is in left.
     """
     n = g.n
+    tie = _SLACK * g.total_abs_weight
     abs_w = np.abs(g.weight_matrix)
-    with np.errstate(over="ignore"):  # left to right, so an overflowing total is inf as before
-        incident = np.cumsum(abs_w, axis=1)[:, -1].tolist()
+    incident = np.cumsum(abs_w, axis=1)[:, -1].tolist()  # left to right, as ordered_sum adds
     rows = abs_w.tolist()  # a zero entry (no edge) leaves to_cross unchanged
     side = [0] * (n + 1)
     to_cross = [0.0] * (n + 1)  # |weight| from v to the opposite side
@@ -161,7 +163,7 @@ def half_weight_partition(
     while changed and moves <= move_cap:
         changed = False
         for v in range(1, n + 1):
-            if 2.0 * to_cross[v] < incident[v]:
+            if 2.0 * to_cross[v] < incident[v] - tie:
                 sv = side[v] = side[v] ^ 1
                 to_cross[v] = incident[v] - to_cross[v]
                 to_cross = [t - a if s == sv else t + a for t, a, s in zip(to_cross, rows[v], side)]
@@ -192,9 +194,6 @@ class CutSearchResult:
         }
 
 
-_SLACK = 1e-12  # absolute float slack applied toward accepting at each threshold
-
-
 def find_large_cut(
     g: SignedWeightedGraph, rng_seed: int, trial_budget: int = 1000
 ) -> CutSearchResult:
@@ -213,6 +212,7 @@ def find_large_cut(
         raise InputError(f"trial budget must be an integer >= 1, got {trial_budget!r}")
     n = g.n
     total = g.total_abs_weight
+    slack = _SLACK * total
     bound = total / (600.0 * math.sqrt(n))
     stat_threshold = total / (200.0 * math.sqrt(n))
     case_threshold = total / (1200.0 * math.sqrt(n))
@@ -222,7 +222,7 @@ def find_large_cut(
     w_lr = g.weight_matrix[np.ix_(left_verts, right_verts)]
 
     size = len(left_verts)
-    best_stat = -1.0
+    best_stat = -math.inf
     best_picks = np.zeros(size)
     best_cols = np.zeros(len(right_verts))
     trials = 0
@@ -232,21 +232,21 @@ def find_large_cut(
         picks = bits(draws(rng_seed, t * size, size))
         cols = picks @ w_lr
         stat = float(np.abs(cols).sum())
-        if stat > best_stat:
+        if stat > best_stat + slack:
             best_stat = stat
             best_picks = picks
             best_cols = cols
-        if stat >= stat_threshold - _SLACK:
+        if stat >= stat_threshold - slack:
             stat_met = True
             break
 
     if not stat_met and n <= ENUMERATION_CAP:
         (mx, cut_hi), (mn, cut_lo) = extreme_cuts(g, g.vertices)
-        cut = cut_hi if abs(mx) >= abs(mn) else cut_lo
+        cut = cut_hi if abs(mx) >= abs(mn) - slack else cut_lo
         return CutSearchResult(
             cut=cut,
             bound=bound,
-            meets_guarantee=abs(cut.weight) >= bound - _SLACK,
+            meets_guarantee=abs(cut.weight) >= bound - slack,
             trials_used=trials,
             case_taken="brute_fallback",
         )
@@ -256,22 +256,23 @@ def find_large_cut(
     # 2 for chosen-rest and 3 for sample-chosen.
     label = np.zeros(n + 1, dtype=np.int8)
     label[left_verts[best_picks > 0]] = 1
-    plus_total = float(best_cols[best_cols >= 0].sum())
-    minus_total = -float(best_cols[best_cols < 0].sum())
-    side_sign = 1.0 if plus_total >= minus_total else -1.0
-    label[right_verts[(best_cols >= 0) == (side_sign > 0)]] = 2  # the chosen sign's columns
+    plus = best_cols >= -slack
+    plus_total = float(best_cols[plus].sum())
+    minus_total = -float(best_cols[~plus].sum())
+    side_sign = 1.0 if plus_total >= minus_total - slack else -1.0
+    label[right_verts[plus == (side_sign > 0)]] = 2  # the chosen sign's columns
     i, j, w = g._columns
     pair = label[i] ^ label[j]
-    if side_sign * column_sum(w[pair == 1]) >= -case_threshold - _SLACK:
+    if side_sign * column_sum(w[pair == 1]) >= -case_threshold - slack:
         bit, case = 1, "case1"
-    elif side_sign * column_sum(w[pair == 2]) >= -case_threshold - _SLACK:
+    elif side_sign * column_sum(w[pair == 2]) >= -case_threshold - slack:
         bit, case = 2, "case2"
     else:
         bit, case = 3, "case3"
     in_u = (label & bit) > 0
     u = VertexSubset.from_members(np.flatnonzero(in_u).tolist())
     weight = column_sum(w[in_u[i] != in_u[j]])  # cut_weight(g, g.vertices, u)
-    meets = abs(weight) >= bound - _SLACK
+    meets = abs(weight) >= bound - slack
     if stat_met and not meets:
         raise InvariantViolationError(
             f"cut weight {weight} misses the bound {bound} although the sampled "
@@ -358,8 +359,7 @@ def all_subset_cut_extremes(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndar
     of the 3^n (subset x, side u) pairs gives the cut weight
     gamma(x) - gamma(u) - gamma(x minus u), reduced per x, so n <= 16.
     The extremes of the same doubles are exact: the tables are bit-identical
-    to a pair-by-pair loop that starts from 0.0, compares strictly and skips
-    NaN (the overflow case).
+    to a pair-by-pair loop that starts from 0.0 and compares strictly.
     """
     n = g.n
     if n > _TABLE_CAP:

@@ -286,10 +286,11 @@ def dual_certificate(
     y = -0.5 * mu
     # slack[m] = gamma(X) - sum_{i in X} z_i for every X in t_frac (mask bit p <-> verts[p])
     slack = subset_gamma(w[np.ix_(verts, verts)] - np.diag([2.0 * z[v] for v in verts]))
+    tol = 1e-9 * max(1.0, float(np.abs(slack).max()))  # rounding grows with the slack
     if side == "lower_envelope":
-        bad = np.flatnonzero(y > slack + 1e-9)
+        bad = np.flatnonzero(y > slack + tol)
     else:
-        bad = np.flatnonzero(y < slack - 1e-9)
+        bad = np.flatnonzero(y < slack - tol)
     if bad.size:
         m = int(bad[0])
         violating = VertexSubset.from_members(verts[p] for p in range(k) if m >> p & 1)

@@ -393,10 +393,10 @@ def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], 
 
 
 def _numeric_exact(g: SignedWeightedGraph) -> bool:
-    """mu_plus(X) - mu_minus(X) = |gamma|(X) within 1e-9 for every subset X (n <= 16)."""
+    """mu_plus(X) - mu_minus(X) = |gamma|(X) for every subset X (n <= 16), within 1e-9 * total."""
     mu_plus, mu_minus = all_subset_cut_extremes(g)
     gabs = all_subset_gamma(g, absolute=True)
-    return bool(abs((mu_plus - mu_minus) - gabs).max() <= 1e-9)
+    return bool(abs((mu_plus - mu_minus) - gabs).max() <= 1e-9 * g.total_abs_weight)
 
 
 def _census_instances(cfg: ExperimentConfig):

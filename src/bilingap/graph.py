@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapacityError, InputError, InvariantViolationError
 
 MAX_VERTICES = 63
-MAX_TOTAL_ABS_WEIGHT = 1e300  # instance files above this would overflow cut sums to inf
+MAX_TOTAL_ABS_WEIGHT = 1e300  # a graph above this could overflow its cut and gap sums to inf
 
 
 @dataclass(frozen=True, order=True)
@@ -170,6 +170,10 @@ def _edge_columns(n: int, edges: Iterable) -> tuple[np.ndarray, np.ndarray, np.n
     One pass checks edge by edge, so the first bad edge in input order raises
     its InputError and an edge that is a one-shot iterator is read only once.
     """
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise InputError(f"edge list {edges!r} is not an iterable of triples") from None
     seen = set()
     rows_i, rows_j, rows_w = [], [], []
     for e in edges:
@@ -228,9 +232,10 @@ class SignedWeightedGraph:
     """Simple undirected graph with nonzero real edge weights.
 
     Edges are stored canonically as (i, j, weight) with 1 <= i < j <= n, sorted
-    lexicographically.  Construction validates the whole edge list and builds
-    weight_matrix, the read-only dense symmetric (n+1, n+1) weight matrix with
-    zero diagonal (row and column 0 unused); instances are immutable afterwards.
+    lexicographically.  Construction validates the whole edge list, rejects a
+    total |weight| above MAX_TOTAL_ABS_WEIGHT and builds weight_matrix, the
+    read-only dense symmetric (n+1, n+1) weight matrix with zero diagonal (row
+    and column 0 unused); instances are immutable afterwards.
     """
 
     n: int
@@ -268,12 +273,17 @@ class SignedWeightedGraph:
         if columns is None:  # _edge_columns found no bad edge
             raise InvariantViolationError("the edge column checks rejected a list with no bad edge")
         i, j, w, matrix = columns
+        abs_w = np.abs(w)  # at most 1953 terms, each within the cap, cannot overflow
+        total = column_sum(abs_w) if abs_w.max(initial=0.0) <= MAX_TOTAL_ABS_WEIGHT else math.inf
+        if total > MAX_TOTAL_ABS_WEIGHT:
+            raise InputError(f"total absolute weight of the edges exceeds {MAX_TOTAL_ABS_WEIGHT!r}")
         matrix.setflags(write=False)
         vars(self).update(  # what object.__setattr__ does for a frozen dataclass, in one call
             n=n,
             edges=tuple(zip(i.tolist(), j.tolist(), w.tolist())),
             _columns=(i, j, w),  # the edges as numpy columns
             weight_matrix=matrix,
+            total_abs_weight=total,  # left-to-right total of |weight| in edge order
         )
 
     @property
@@ -283,11 +293,6 @@ class SignedWeightedGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def total_abs_weight(self) -> float:
-        """Left-to-right total of |weight| in edge order, as ordered_sum adds."""
-        return column_sum(np.abs(self._columns[2]))
 
     @cached_property
     def pair_masks(self) -> tuple[tuple[int, float], ...]:
@@ -339,8 +344,7 @@ def ordered_sum(values: Iterable[float]) -> float:
 
 def column_sum(values: np.ndarray) -> float:
     """ordered_sum of a float column: np.cumsum adds left to right, np.sum pairwise."""
-    with np.errstate(over="ignore"):  # a total beyond the float range is inf
-        return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def _check_subset(g: SignedWeightedGraph, x: VertexSubset) -> None:
@@ -482,10 +486,7 @@ def write_instance(g: SignedWeightedGraph, path: str | Path, fmt: str | None = N
 
 
 def read_instance(path: str | Path, fmt: str | None = None) -> SignedWeightedGraph:
-    """Read an instance file, sniffing JSON vs text from extension then content.
-
-    Rejects instances whose total absolute weight exceeds MAX_TOTAL_ABS_WEIGHT.
-    """
+    """Read an instance file, sniffing JSON vs text from extension then content."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -494,14 +495,7 @@ def read_instance(path: str | Path, fmt: str | None = None) -> SignedWeightedGra
     if fmt is None:
         fmt = "json" if path.suffix == ".json" or text.lstrip().startswith("{") else "text"
     if fmt == "json":
-        g = loads_json(text)
-    elif fmt == "text":
-        g = loads_text(text)
-    else:
-        raise InputError(f"unknown instance format {fmt!r} (expected 'json' or 'text')")
-    if not g.total_abs_weight <= MAX_TOTAL_ABS_WEIGHT:
-        raise InputError(
-            f"instance {path}: total absolute weight {g.total_abs_weight!r} "
-            f"exceeds {MAX_TOTAL_ABS_WEIGHT!r}"
-        )
-    return g
+        return loads_json(text)
+    if fmt == "text":
+        return loads_text(text)
+    raise InputError(f"unknown instance format {fmt!r} (expected 'json' or 'text')")

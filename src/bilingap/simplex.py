@@ -3,7 +3,9 @@
 Built for the hypercube-vertex convex-combination LPs in this package: few
 rows (coordinate marginals plus a convexity row), up to 2^16 columns.  Enters
 on the most negative reduced cost (Dantzig) and falls back to Bland's
-anti-cycling rule after a run of degenerate pivots; the tolerance is 1e-9.
+anti-cycling rule after a run of degenerate pivots.  Checks on cube values
+(basic values, pivot entries) use 1e-9 and checks on costs (reduced costs,
+dual slack, duality gap) 1e-9 * max|c|, so scaling c changes no decision.
 The caller supplies the start tableau B^-1 [A | b].  Each pivot is a
 row-normalized outer-product update in numpy; only the ratio test over the few
 rows runs as a Python loop.  Every optimum is checked primal feasible and
@@ -100,28 +102,26 @@ def _pivot_loop(tab, basis, tol, max_iter):
 def _certify(a_mat, b_vec, c_vec, basis, x_basic, value) -> None:
     """Prove value = min c.x over A x = b, x >= 0 by weak duality, or raise.
 
-    Checks that the basic solution x_basic is >= -tol, then solves
+    Checks that the basic solution x_basic is >= -1e-9, then solves
     B^T pi = c_B from the original a_mat, not from the pivoted tableau, and
     checks that pi prices every column at >= -tol (one matvec) and that pi.b
-    equals value within tol; with the basic solution feasible, no x does
-    better than value - tol.  tol scales with max|c|, since instance weights
-    go up to 1e300.  Raises InvariantViolationError if a check fails.
+    equals value within tol, with tol = 1e-9 * max|c|; with the basic
+    solution feasible, no x does better than value - tol.  Raises
+    InvariantViolationError if a check fails.
     """
+    low = float(x_basic.min())
+    if not low >= -TOLERANCE:
+        raise InvariantViolationError(
+            f"simplex basic solution is not primal feasible (smallest basic value "
+            f"{low:.3g}, tolerance {TOLERANCE:.3g})"
+        )
     try:
         pi = np.linalg.solve(a_mat[:, basis].T, c_vec[basis])
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"singular final basis: {exc}") from None
-    low = float(x_basic.min())
     slack = float((c_vec - pi @ a_mat).min())
     gap = abs(float(pi @ b_vec) - value)
-    if low >= -TOLERANCE and slack >= -TOLERANCE and gap <= TOLERANCE:
-        return  # passes at the smallest tol; skips the max|c| pass
-    tol = TOLERANCE * max(1.0, float(np.abs(c_vec).max()))
-    if not low >= -tol:
-        raise InvariantViolationError(
-            f"simplex basic solution is not primal feasible (smallest basic value "
-            f"{low:.3g}, tolerance {tol:.3g})"
-        )
+    tol = TOLERANCE * float(np.abs(c_vec).max())
     if not (slack >= -tol and gap <= tol):
         raise InvariantViolationError(
             f"simplex optimum fails its dual certificate (dual slack {slack:.3g}, "
@@ -151,6 +151,7 @@ def solve_min(
     cb = c_vec[basis]
     tab[m, :ncols] = c_vec - cb @ reduced[:, :ncols]
     tab[m, ncols] = -float(cb @ reduced[:, ncols])
+    tab[m] /= float(np.abs(c_vec).max()) or 1.0  # reduced costs in units of max|c|
     max_iter = 50 * (ncols + m) + 1000
     status = _pivot_loop(tab, basis, TOLERANCE, max_iter)
     if status == -1:

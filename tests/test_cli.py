@@ -395,9 +395,14 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["eval", "cut", "maxcut", "hullcheck"])
     @pytest.mark.parametrize("suffix", [".json", ".txt"])
     def test_overflowing_instance_exit_1(self, capsys, tmp_path, command, suffix):
-        path = str(tmp_path / f"huge{suffix}")
-        write_instance(SignedWeightedGraph(3, ((1, 2, 1e308), (1, 3, 1e308), (2, 3, 1e308))), path)
-        code, out, err = run_cli(capsys, command, "--instance", path)
+        # no graph above the cap can be built, so the file is written by hand
+        path = tmp_path / f"huge{suffix}"
+        edges = ((1, 2, 1e308), (1, 3, 1e308), (2, 3, 1e308))
+        if suffix == ".json":
+            path.write_text(json.dumps({"n": 3, "edges": edges}))
+        else:
+            path.write_text("".join(f"{i} {j} {w!r}\n" for i, j, w in edges))
+        code, out, err = run_cli(capsys, command, "--instance", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "total absolute weight" in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -225,6 +226,8 @@ def _construction_reference(n: int, edges) -> dict:
         adj[i].append((j, w))
         adj[j].append((i, w))
         total += abs(w)
+    if total > MAX_TOTAL_ABS_WEIGHT:
+        raise InputError(f"total absolute weight of the edges exceeds {MAX_TOTAL_ABS_WEIGHT!r}")
     return {
         "edges": tuple(canon),
         "weight_matrix": matrix,
@@ -235,14 +238,19 @@ def _construction_reference(n: int, edges) -> dict:
 
 
 def _random_edge_list(rng: random.Random) -> tuple[int, list]:
-    """Shuffled edges on 1..n, n <= 63, as tuples or lists of Python and numpy numbers."""
+    """Shuffled edges on 1..n, n <= 63, as tuples or lists of Python and numpy numbers.
+
+    One list in four may draw weights up to 1e308, which mostly puts its total
+    above MAX_TOTAL_ABS_WEIGHT.
+    """
     n = rng.randint(1, 63)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     count = len(pairs) if rng.random() < 0.2 else rng.randint(0, min(len(pairs), 300))
+    huge = 1e308 if rng.random() < 0.25 else 1.0
     edges = []
     for i, j in rng.sample(pairs, count):
         w = rng.choice(
-            (rng.uniform(-1.0, 1.0), rng.choice((-1.0, 1.0)), rng.uniform(-1.0, 1.0) * 1e308,
+            (rng.uniform(-1.0, 1.0), rng.choice((-1.0, 1.0)), rng.uniform(-1.0, 1.0) * huge,
              rng.choice((-3, 2, 7)), 10.0 ** rng.randint(-300, 300))
         ) or 0.5
         if rng.random() < 0.2:
@@ -279,20 +287,29 @@ class TestColumnConstruction:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_the_per_edge_loop(self, seed):
         rng = random.Random(seed)
+        capped = 0
         for _ in range(40):
             n, edges = _random_edge_list(rng)
+            try:
+                ref = _construction_reference(n, edges)
+            except InputError as exc:  # the total is above MAX_TOTAL_ABS_WEIGHT
+                with pytest.raises(InputError, match=re.escape(str(exc))):
+                    SignedWeightedGraph(n, tuple(edges))
+                capped += 1
+                continue
             g = SignedWeightedGraph(n, tuple(edges))
-            ref = _construction_reference(n, edges)
             assert g.edges == ref["edges"]
             assert [type(v) for e in g.edges for v in e] == [int, int, float] * g.num_edges
             assert g.weight_matrix.tobytes() == ref["weight_matrix"].tobytes()
             assert g.pair_masks == ref["pair_masks"]
             assert g.adjacency == ref["adjacency"]
             assert g.total_abs_weight.hex() == ref["total_abs_weight"].hex()
+        assert 0 < capped < 40
 
-    def test_total_beyond_the_float_range_is_inf(self):
-        g = SignedWeightedGraph(3, ((1, 2, 1e308), (2, 3, -1e308), (1, 3, 1e308)))
-        assert g.total_abs_weight == math.inf
+    @pytest.mark.parametrize("edges", [5, None, 2.5])
+    def test_a_non_iterable_edge_list_is_an_input_error(self, edges):
+        with pytest.raises(InputError, match="is not an iterable of triples"):
+            SignedWeightedGraph(3, edges)
 
     @pytest.mark.parametrize("first", list(_FAULTS))
     def test_reports_the_first_bad_edge(self, first):
@@ -740,10 +757,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_read_rejects_total_weight_above_cap(self, tmp_path, fmt):
-        # the constructor keeps accepting it; only instance files are capped
-        g = SignedWeightedGraph(3, ((1, 2, 1e308), (1, 3, -1e308), (2, 3, 1e308)))
+        # no graph above the cap can be built, so the file is written by hand
+        edges = ((1, 2, 1e308), (1, 3, -1e308), (2, 3, 1e308))
         path = tmp_path / "huge"
-        write_instance(g, path, fmt=fmt)
+        if fmt == "json":
+            path.write_text(json.dumps({"n": 3, "edges": edges}))
+        else:
+            path.write_text("".join(f"{i} {j} {w!r}\n" for i, j, w in edges))
         with pytest.raises(InputError, match="total absolute weight"):
             read_instance(path)
         g = SignedWeightedGraph(2, ((1, 2, MAX_TOTAL_ABS_WEIGHT),))
