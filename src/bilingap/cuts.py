@@ -26,7 +26,9 @@ from .simplex import bit_matrix, sign_matrix
 
 ENUMERATION_CAP = 26
 _SLACK = 1e-12  # float slack of the cut search's comparisons, times the total |weight|
-_BLOCK_ENTRIES = 1 << 18  # max float64 entries per enumeration block (2 MiB, one L2)
+# Max float64 entries per enumeration block: 256 KiB, so the block and its
+# cross-term buffer (512 KiB together) stay in one core's L2.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _normalize_side(mask: int, full: int) -> int:
@@ -76,11 +78,15 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     best_max_mask = 0
     best_min = math.inf
     best_min_mask = 0
+    # One block and one cross-term buffer per call; a shorter last block uses their top rows.
+    block = np.empty((min(rows_per_block, half), 1 << h))
+    cross = np.empty_like(block)
     for start in range(0, half, rows_per_block):
         stop = min(start + rows_per_block, half)
         # the same doubles as (total - (qb + qa + cross)) * 0.5, computed in place
-        cuts = qb[start:stop, None] + qa[None, :]
-        cuts += sb[start:stop] @ va.T
+        cuts = block[: stop - start]
+        np.add(qb[start:stop, None], qa, out=cuts)
+        cuts += np.matmul(sb[start:stop], va.T, out=cross[: stop - start])
         np.subtract(total, cuts, out=cuts)
         cuts *= 0.5
         flat_max = int(np.argmax(cuts))

@@ -35,7 +35,7 @@ from .graph import (
 from .simplex import bit_matrix, solve_min
 
 LP_SIZE_CAP = 16
-_ZERO = 1e-12  # gap values at or below this are treated as exactly zero
+_ZERO = 1e-12  # gaps within this times the total |weight| count as exactly zero
 
 
 @dataclass(frozen=True)
@@ -333,21 +333,23 @@ class GapReport:
         }
 
 
-def gap_ratio(mcgap: float, chgap: float) -> tuple[float, float, float, bool]:
+def gap_ratio(mcgap: float, chgap: float, total: float) -> tuple[float, float, float, bool]:
     """(mcgap, chgap, ratio, degenerate): the one rule for the gap ratio mcgap/chgap.
 
-    A gap below -_ZERO is a bug and raises InvariantViolationError; smaller
-    negative rounding is clamped to 0.  The ratio is reported as 1 with the
-    degenerate flag when both gaps are at most _ZERO, and as infinity when
-    only chgap is.
+    total is the graph's total_abs_weight, and gaps within _ZERO * total of 0
+    count as zero, the cut search's slack rule.  A gap below that is a bug and
+    raises InvariantViolationError; smaller negative rounding is clamped to 0.
+    The ratio is reported as 1 with the degenerate flag when both gaps are
+    zero, and as infinity when only chgap is.
     """
-    if chgap < -_ZERO or mcgap < -_ZERO:
+    zero = _ZERO * total
+    if chgap < -zero or mcgap < -zero:
         raise InvariantViolationError(f"negative gap computed: mcgap={mcgap}, chgap={chgap}")
     mcgap = max(mcgap, 0.0)
     chgap = max(chgap, 0.0)
-    if chgap > _ZERO:
+    if chgap > zero:
         return mcgap, chgap, mcgap / chgap, False
-    if mcgap <= _ZERO:
+    if mcgap <= zero:
         return mcgap, chgap, 1.0, True
     return mcgap, chgap, math.inf, False
 
@@ -370,7 +372,7 @@ def gap_report(g: SignedWeightedGraph, x: EvaluationPoint) -> GapReport:
         cav, vex = hull_envelopes_lp(g, x)
         chgap = cav - vex
         method = "lp"
-    mcgap, chgap, ratio, degenerate = gap_ratio(mcgap, chgap)
+    mcgap, chgap, ratio, degenerate = gap_ratio(mcgap, chgap, g.total_abs_weight)
     return GapReport(
         point=x,
         mcu=mcu,

@@ -247,7 +247,9 @@ def _gap_measurement(
     """Gap record fields of g at the all-half point, plus its (max, min) cut weights."""
     mu_plus, mu_minus = cut_range_bruteforce(g, g.vertices)
     mcgap, chgap, ratio, _ = gap_ratio(
-        mcgap_halfpoint(g, EvaluationPoint.all_half(g.n)), 0.5 * (mu_plus - mu_minus)
+        mcgap_halfpoint(g, EvaluationPoint.all_half(g.n)),
+        0.5 * (mu_plus - mu_minus),
+        g.total_abs_weight,
     )
     values = dict(
         instance_seed=seed, n=g.n, mcgap=mcgap, chgap=chgap, ratio=ratio,

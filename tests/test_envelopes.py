@@ -570,6 +570,13 @@ class TestGapReport:
         assert rep.ratio == 1.0
         assert rep.mcgap == 0.0 and rep.chgap == 0.0
 
+    @pytest.mark.parametrize("s", [1e-13, 1.0])
+    def test_small_weights_are_not_degenerate(self, s):
+        g = SignedWeightedGraph(3, ((1, 2, s), (1, 3, s), (2, 3, -s)))
+        rep = gap_report(g, EvaluationPoint.all_half(3))
+        assert not rep.degenerate
+        assert rep.ratio == pytest.approx(1.5, rel=1e-12)
+
     def test_lp_method_at_generic_point(self):
         rep = gap_report(TRIANGLE, EvaluationPoint.of(0.3, 0.7, 0.6))
         assert rep.method == "lp"
