@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,13 @@ from .rng import bits, draws
 from .simplex import bit_matrix, sign_matrix
 
 ENUMERATION_CAP = 26
-_SLACK = 1e-12  # float slack of the cut search's comparisons, times the total |weight|
-# Max float64 entries per enumeration block: 256 KiB, so the block and its
-# cross-term buffer (512 KiB together) stay in one core's L2.
+_SLACK = 1e-12  # float slack of cut comparisons and witnesses, times the total |weight|
+# Max float64 entries per enumeration block: 256 KiB, so the one block buffer
+# stays in one core's L2 while it is written and scanned twice.
 _BLOCK_ENTRIES = 1 << 15
+# Max float64 entries per temporary while the operands are built: 32 KiB, and
+# products small enough that OpenBLAS runs each on one thread.
+_CHUNK_ENTRIES = 1 << 12
 
 
 def _normalize_side(mask: int, full: int) -> int:
@@ -40,17 +44,46 @@ def _normalize_side(mask: int, full: int) -> int:
     return min(mask, comp)
 
 
+def _sign_terms(
+    signs: np.ndarray, w: np.ndarray, form: np.ndarray, cross: np.ndarray | None = None
+) -> None:
+    """form[m] = s^T w_s s and cross[:, m] = w_x^T s for each sign row s = signs[m].
+
+    w is [w_s | w_x], with w_s square.  Runs over chunks of rows, each one
+    product of at most _CHUNK_ENTRIES entries.
+    """
+    p = signs.shape[1]
+    step = _CHUNK_ENTRIES // w.shape[1]
+    for start in range(0, len(signs), step):
+        rows = signs[start : start + step]
+        prod = rows @ w
+        np.einsum("mp,mp->m", prod[:, :p], rows, out=form[start : start + step])
+        if cross is not None:
+            cross[:, start : start + step] = prod[:, p:].T
+
+
 def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     """(max witness mask, min witness mask) over the cuts of the subgraph induced by x.
 
-    Masks are over positions of the ascending vertex list of x.  Each is the
-    first attaining mask in ascending enumeration order.
+    Masks are over positions of the ascending vertex list of x.  The max
+    witness is the first mask, in ascending order, whose cut is within
+    _SLACK * T of the maximum, with T the total |weight| of the subgraph; the
+    min witness likewise.  Cuts that tie exactly at one weight scale round
+    apart at another, and the slack keeps the witness the same at both.
 
-    Only masks with the top position on side 0 are walked: half of them.  A
-    mask and its complement are the same cut, and negating a +/-1 sign row
-    negates every product exactly, so both get the same double.  An
-    attaining mask with the top bit set has a smaller complement that
-    attains too, so the first attaining mask always lies in the walked half.
+    A mask's sign row is +1 on side 0 and -1 on side 1, and its cut is
+    (total - s) / 2 with s half the row's quadratic form in W, so the max cut
+    is the min s.  Split the positions into A (the low h) and B (the rest):
+    s = qa + qb + sb . va, with sa and sb the halves' sign rows, qa and qb
+    their own forms and va = W_AB^T sa.  Each block of B rows is one matrix
+    product [sb | 2 qb | 1/2] @ [va | 1/2 | 2 qa]^T, scanned for its min and
+    max.  Then only the first block that reaches a witness bound is made
+    again, once per side, unless the buffer still holds it.
+
+    Only masks with the top position on side 0 are walked: half of them, and
+    all below the rest.  A mask and its complement are the same cut, so a
+    mask with the top bit set that is within the slack has a smaller
+    complement within it too, and the first such mask lies in the walked half.
     """
     verts = sorted(x.members)
     k = len(verts)
@@ -60,46 +93,46 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
         )
     if k <= 1:
         return 0, 0
-    w_sub = g.weight_matrix[np.ix_(verts, verts)]
-    total = float(np.triu(w_sub, 1).sum())
+    w_sub = g.weight_matrix.take(verts, 0).take(verts, 1)
     h = k // 2
     kb = k - h
-    sa = sign_matrix(h)
-    sb = sign_matrix(kb)
-    w_aa = w_sub[:h, :h]
-    w_bb = w_sub[h:, h:]
-    w_ab = w_sub[:h, h:]
-    qa = 0.5 * np.einsum("mp,pq,mq->m", sa, w_aa, sa)
-    qb = 0.5 * np.einsum("mp,pq,mq->m", sb, w_bb, sb)
-    va = sa @ w_ab  # row mA: contributions against each B position
-    rows_per_block = max(1, _BLOCK_ENTRIES >> h)
     half = 1 << (kb - 1)  # B rows whose top vertex is on side 0
-    best_max = -math.inf
-    best_max_mask = 0
-    best_min = math.inf
-    best_min_mask = 0
-    # One block and one cross-term buffer per call; a shorter last block uses their top rows.
-    block = np.empty((min(rows_per_block, half), 1 << h))
-    cross = np.empty_like(block)
-    for start in range(0, half, rows_per_block):
-        stop = min(start + rows_per_block, half)
-        # the same doubles as (total - (qb + qa + cross)) * 0.5, computed in place
-        cuts = block[: stop - start]
-        np.add(qb[start:stop, None], qa, out=cuts)
-        cuts += np.matmul(sb[start:stop], va.T, out=cross[: stop - start])
-        np.subtract(total, cuts, out=cuts)
-        cuts *= 0.5
-        flat_max = int(np.argmax(cuts))
-        val = float(cuts.flat[flat_max])
-        if val > best_max:
-            best_max = val
-            best_max_mask = ((start + flat_max // (1 << h)) << h) | (flat_max % (1 << h))
-        flat_min = int(np.argmin(cuts))
-        val = float(cuts.flat[flat_min])
-        if val < best_min:
-            best_min = val
-            best_min_mask = ((start + flat_min // (1 << h)) << h) | (flat_min % (1 << h))
-    return best_max_mask, best_min_mask
+    sa = sign_matrix(h)
+    sb = sign_matrix(kb)[:half]
+    left = np.empty((half, kb + 2))  # [sb | 2 qb | 1/2], one row per walked B mask
+    left[:, :kb] = sb
+    _sign_terms(sb, w_sub[h:, h:], left[:, kb])
+    left[:, kb + 1] = 0.5
+    right = np.empty((kb + 2, 1 << h))  # [va | 1/2 | 2 qa]^T, one column per A mask
+    _sign_terms(sa, w_sub[:h], right[kb + 1], right[:kb])
+    right[kb] = 0.5
+    # _SLACK T on a cut is 2 _SLACK T on s, and |w_sub| counts each edge twice
+    slack = _SLACK * float(np.abs(w_sub).sum())
+    rows = max(1, _BLOCK_ENTRIES >> h)
+    block = np.empty((min(rows, half), 1 << h))  # the one buffer; a short last block uses its top
+
+    def product(start: int) -> np.ndarray:
+        """s over the block of B rows from start, written into the buffer."""
+        return np.matmul(left[start : start + rows], right, out=block[: min(rows, half - start)])
+
+    lows = []
+    highs = []
+    for start in range(0, half, rows):
+        s = product(start)
+        lows.append(float(np.minimum.reduce(s, None)))
+        highs.append(float(np.maximum.reduce(s, None)))
+    # The max cut is the min s, so its witness is the first mask with s <= min + slack.
+    at_most = min(lows) + slack
+    at_least = max(highs) - slack
+    held = len(lows) - 1  # the block the buffer holds
+    masks = []
+    for ends, within, bound in ((lows, operator.le, at_most), (highs, operator.ge, at_least)):
+        b = next(i for i, end in enumerate(ends) if within(end, bound))
+        if b != held:
+            s = product(b * rows)
+            held = b
+        masks.append((b * rows << h) + int(np.argmax(within(s, bound))))
+    return masks[0], masks[1]
 
 
 def extreme_cuts(
@@ -108,10 +141,11 @@ def extreme_cuts(
     """((max weight, its cut), (min weight, its cut)) over the subgraph induced by x.
 
     One enumeration pass over every cut including the empty one, so the
-    maximum is >= 0 and the minimum <= 0.  Each witness is the first
-    attaining side in ascending bitmask order, reported as the smaller side
-    of the cut (ties to the smaller bitmask), and each weight is recomputed
-    edge by edge with cut_weight.
+    maximum is >= 0 and the minimum <= 0.  Each witness is the first side in
+    ascending bitmask order whose cut is within 1e-12 * the subgraph's total
+    |weight| of the extreme, reported as the smaller side of the cut (ties
+    to the smaller bitmask), and each weight is recomputed edge by edge with
+    cut_weight.
     """
     _check_subset(g, x)
     verts = sorted(x.members)

@@ -174,15 +174,15 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
     built in closed form (_staircase_start), and each side's value is
     certified primal feasible and optimal by weak duality
     (InvariantViolationError if the certificate fails).  Capped at
-    n <= LP_SIZE_CAP.
+    f <= LP_SIZE_CAP fractional coordinates, which size the LP; n does not.
     """
     _check_point(g, x)
-    if g.n > LP_SIZE_CAP:
-        raise CapacityError(f"hull LP needs n <= {LP_SIZE_CAP}, got {g.n}")
-    ones = x.one_support
     frac = sorted(x.fractional_support.members)
-    base = gamma_weight(g, ones)
     f = len(frac)
+    if f > LP_SIZE_CAP:
+        raise CapacityError(f"hull LP needs f <= {LP_SIZE_CAP} fractional coordinates, got {f}")
+    ones = x.one_support
+    base = gamma_weight(g, ones)
     if f == 0:
         return base, base
     xs = np.array([x.coords[v - 1] for v in frac])
@@ -359,7 +359,7 @@ def gap_report(g: SignedWeightedGraph, x: EvaluationPoint) -> GapReport:
 
     Half points use the cut-based closed forms (exact enumeration of the
     fractional support, capped at 26 vertices); other points solve the hull LP
-    (capped at n <= 16).  Gaps and ratio follow gap_ratio.
+    (capped at f <= 16 fractional coordinates).  Gaps and ratio follow gap_ratio.
     """
     _check_point(g, x)
     mcu, mcl = mccormick_envelopes(g, x)

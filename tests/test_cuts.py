@@ -106,7 +106,28 @@ class TestExtremeCuts:
 
 
 def _cut_extremes_reference(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
-    """Block loop over all 2^k masks, with whole-block temporaries, that the kernel replaces."""
+    """Every one of the 2^k masks in ascending order; the first whose cut is within the slack.
+
+    The slack is _SLACK times the total |weight| of the induced subgraph, and
+    each cut is the weight between a side and its complement, b^T W (1 - b).
+    """
+    verts = sorted(x.members)
+    k = len(verts)
+    w_sub = g.weight_matrix[np.ix_(verts, verts)]
+    bits = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
+    values = np.einsum("mp,mp->m", bits @ w_sub, 1.0 - bits)
+    slack = cuts._SLACK * float(np.abs(np.triu(w_sub, 1)).sum())
+    return (
+        int(np.argmax(values >= values.max() - slack)),
+        int(np.argmax(values <= values.min() + slack)),
+    )
+
+
+def _first_attaining_reference(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
+    """The earlier rule: the first mask whose double equals the extreme, walking all 2^k masks.
+
+    Each cut is (total - (qb + qa + sb . va)) / 2 in that order of operations.
+    """
     verts = sorted(x.members)
     k = len(verts)
     if k <= 1:
@@ -114,30 +135,12 @@ def _cut_extremes_reference(g: SignedWeightedGraph, x: VertexSubset) -> tuple[in
     w_sub = g.weight_matrix[np.ix_(verts, verts)]
     total = float(np.triu(w_sub, 1).sum())
     h = k // 2
-    kb = k - h
     sa = cuts.sign_matrix(h)
-    sb = cuts.sign_matrix(kb)
+    sb = cuts.sign_matrix(k - h)
     qa = 0.5 * np.einsum("mp,pq,mq->m", sa, w_sub[:h, :h], sa)
     qb = 0.5 * np.einsum("mp,pq,mq->m", sb, w_sub[h:, h:], sb)
-    va = sa @ w_sub[:h, h:]
-    rows_per_block = max(1, (1 << 22) >> h)
-    best_max, best_max_mask = -math.inf, 0
-    best_min, best_min_mask = math.inf, 0
-    for start in range(0, 1 << kb, rows_per_block):
-        stop = min(start + rows_per_block, 1 << kb)
-        svals = qb[start:stop, None] + qa[None, :] + sb[start:stop] @ va.T
-        values = (total - svals) * 0.5
-        flat_max = int(np.argmax(values))
-        val = float(values.flat[flat_max])
-        if val > best_max:
-            best_max = val
-            best_max_mask = ((start + flat_max // (1 << h)) << h) | (flat_max % (1 << h))
-        flat_min = int(np.argmin(values))
-        val = float(values.flat[flat_min])
-        if val < best_min:
-            best_min = val
-            best_min_mask = ((start + flat_min // (1 << h)) << h) | (flat_min % (1 << h))
-    return best_max_mask, best_min_mask
+    values = (total - (qb[:, None] + qa[None, :] + sb @ (sa @ w_sub[:h, h:]).T)) * 0.5
+    return int(np.argmax(values)), int(np.argmin(values))
 
 
 _WEIGHT_KINDS = ("pm1", "real", "sparse", "zero")
@@ -164,7 +167,7 @@ def _kernel_graph(seed: int, k: int, kind: str) -> SignedWeightedGraph:
 
 
 class TestEnumerationKernel:
-    """The half walk picks the same first-attaining witnesses as the full walk."""
+    """The half walk picks the same witnesses within the slack as the full walk."""
 
     @_BLOCK_SIZES
     @given(seed=st.integers(0, 10**6), k=st.integers(2, 14), kind=st.sampled_from(_WEIGHT_KINDS))
@@ -189,6 +192,15 @@ class TestEnumerationKernel:
         g = _kernel_graph(99, 12, "real")
         x = VertexSubset.from_members([2, 3, 5, 7, 8, 11, 12])
         assert cuts._cut_extremes(g, x) == _cut_extremes_reference(g, x)
+
+    def test_unit_weights_keep_the_first_attaining_witnesses(self):
+        # at x1 the slack picks the masks of the exact-double rule on every fixed graph
+        for k in range(2, 19):
+            for seed in range(6):
+                for kind in _WEIGHT_KINDS:
+                    g = _kernel_graph(seed, k, kind)
+                    want = _first_attaining_reference(g, g.vertices)
+                    assert cuts._cut_extremes(g, g.vertices) == want, (k, seed, kind)
 
     def test_k24_scratch_stays_small(self):
         # whole-block temporaries of the full walk peaked at 128 MiB here, and

@@ -26,7 +26,7 @@ from bilingap.cli import main
 from bilingap.cuts import all_subset_gamma
 from bilingap.errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from bilingap.graph import SignedWeightedGraph, VertexSubset, gamma_weight, write_instance
-from bilingap.instances import hadamard_instance
+from bilingap.instances import hadamard_instance, random_pm1_complete
 
 from conftest import enumerate_cut_values, oracle_hull, oracle_mu, random_int_graph
 
@@ -144,8 +144,6 @@ class TestMcgapHalfpoint:
         assert mcgap_halfpoint(TRIANGLE, EvaluationPoint.all_half(3)) == 1.5
 
     def test_pm1_complete_formula(self):
-        from bilingap.instances import random_pm1_complete
-
         for n in (2, 5, 9):
             g = random_pm1_complete(n, seed=3)
             assert mcgap_halfpoint(g, EvaluationPoint.all_half(n)) == n * (n - 1) / 4
@@ -220,11 +218,23 @@ class TestHullLp:
         with pytest.raises(CapacityError):
             hull_envelopes_lp(g, EvaluationPoint.from_iterable([0.3] * 17))
 
-    def test_cap_is_on_n_not_fractional_support(self):
-        g = SignedWeightedGraph(18, ((1, 2, 1.0), (2, 3, -2.0)))
-        coords = [1.0] * 16 + [0.4, 0.7]
-        with pytest.raises(CapacityError):
-            hull_envelopes_lp(g, EvaluationPoint.from_iterable(coords))
+    def test_cap_is_on_the_fractional_support_not_n(self):
+        # n = 20 > LP_SIZE_CAP, but only the f = 3 fractional coordinates size the LP
+        g = random_pm1_complete(20, 1)
+        coords = [0.3, 0.7, 0.6] + [0.0] * 10 + [1.0] * 7
+        x = EvaluationPoint.from_iterable(coords)
+        cav, vex = hull_envelopes_lp(g, x)
+        rep = gap_report(g, x)
+        assert rep.method == "lp" and (rep.cav, rep.vex) == (cav, vex)
+        # the ones fold into a fourth vertex held at 1; the zeros drop out
+        w = g.weight_matrix
+        ones = range(14, 21)
+        edges = [(i, j, w[i, j]) for i, j in ((1, 2), (1, 3), (2, 3))]
+        edges += [(i, 4, sum(w[i, o] for o in ones)) for i in (1, 2, 3)]
+        folded = SignedWeightedGraph(4, tuple(e for e in edges if e[2]))
+        base = gamma_weight(g, VertexSubset.from_members(ones))
+        want_cav, want_vex = oracle_hull(folded, [0.3, 0.7, 0.6, 1.0])
+        assert (cav, vex) == pytest.approx((base + want_cav, base + want_vex), abs=1e-9)
 
     @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(0, 10**9))
     @settings(max_examples=25, deadline=None)

@@ -103,6 +103,18 @@ def test_every_layer_scales_with_the_weights(name):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9 * g.total_abs_weight), (s, key)
 
 
+def test_cut_witnesses_do_not_move_with_the_scale():
+    # +/-1 cuts that tie exactly round apart at a scale that is no power of
+    # two; the first side within the slack stays the same at every scale
+    for seed in range(40):
+        g = random_pm1_complete(N, seed)
+        sides = {}
+        for s in (1e-11, 1.0, 3.7, 2.8e288):
+            (_, hi), (_, lo) = extreme_cuts(_scaled(g, s), g.vertices)
+            sides[s] = (hi.side, lo.side)
+        assert len(set(sides.values())) == 1, (seed, sides)
+
+
 def test_both_constructors_cap_the_total_at_1e300():
     above = math.nextafter(MAX_TOTAL_ABS_WEIGHT, math.inf)
     for w in (MAX_TOTAL_ABS_WEIGHT, above):
