@@ -3,6 +3,10 @@
 extreme_cuts enumerates every cut of an induced subgraph once (meet in the
 middle, vectorized, capped at 26 vertices) and returns both extremes with
 witnesses; max/min_cut_bruteforce and cut_range_bruteforce are views of it.
+A cut is the 0/1 quadratic form b^T (diag(d) - W) b, d the row sums of W, so
+the enumeration reads the two helpers that build every per-mask table here:
+bit_matrix, the 0/1 rows of the masks, and subset_gamma, a block's form on
+every mask.
 find_large_cut returns a cut of the whole graph whose absolute signed weight
 is at least total_abs_weight / (600 sqrt(n)), by sampling subsets of one side
 of a half-weight partition until the sampled aggregate discrepancy is large
@@ -23,15 +27,14 @@ from .graph import (
     Cut, SignedWeightedGraph, VertexSubset, _check_subset, _is_int, column_sum, cut_weight
 )
 from .rng import bits, draws
-from .simplex import bit_matrix, sign_matrix
 
 ENUMERATION_CAP = 26
 _SLACK = 1e-12  # float slack of cut comparisons and witnesses, times the total |weight|
 # Max float64 entries per enumeration block: 256 KiB, so the one block buffer
 # stays in one core's L2 while it is written and scanned twice.
 _BLOCK_ENTRIES = 1 << 15
-# Max float64 entries per temporary while the operands are built: 32 KiB, and
-# products small enough that OpenBLAS runs each on one thread.
+# Max float64 entries per piece of the cross term Q_BA ba (32 KiB): products
+# small enough that OpenBLAS runs each on one thread.
 _CHUNK_ENTRIES = 1 << 12
 
 
@@ -44,24 +47,6 @@ def _normalize_side(mask: int, full: int) -> int:
     return min(mask, comp)
 
 
-def _sign_terms(
-    signs: np.ndarray, w: np.ndarray, form: np.ndarray, cross: np.ndarray | None = None
-) -> None:
-    """form[m] = s^T w_s s and cross[:, m] = w_x^T s for each sign row s = signs[m].
-
-    w is [w_s | w_x], with w_s square.  Runs over chunks of rows, each one
-    product of at most _CHUNK_ENTRIES entries.
-    """
-    p = signs.shape[1]
-    step = _CHUNK_ENTRIES // w.shape[1]
-    for start in range(0, len(signs), step):
-        rows = signs[start : start + step]
-        prod = rows @ w
-        np.einsum("mp,mp->m", prod[:, :p], rows, out=form[start : start + step])
-        if cross is not None:
-            cross[:, start : start + step] = prod[:, p:].T
-
-
 def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     """(max witness mask, min witness mask) over the cuts of the subgraph induced by x.
 
@@ -71,19 +56,20 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     min witness likewise.  Cuts that tie exactly at one weight scale round
     apart at another, and the slack keeps the witness the same at both.
 
-    A mask's sign row is +1 on side 0 and -1 on side 1, and its cut is
-    (total - s) / 2 with s half the row's quadratic form in W, so the max cut
-    is the min s.  Split the positions into A (the low h) and B (the rest):
-    s = qa + qb + sb . va, with sa and sb the halves' sign rows, qa and qb
-    their own forms and va = W_AB^T sa.  Each block of B rows is one matrix
-    product [sb | 2 qb | 1/2] @ [va | 1/2 | 2 qa]^T, scanned for its min and
-    max.  Then only the first block that reaches a witness bound is made
-    again, once per side, unless the buffer still holds it.
+    The cut of side b (bit p set: position p on side 1) is the 0/1 quadratic
+    form 1/2 b^T Q b with Q = 2 (diag(d) - W) and d the row sums of W.  Split
+    the positions into A (the low h) and B (the rest): cut = cut_A + cut_B +
+    bb . (Q_BA ba), with cut_A and cut_B the halves' own forms from
+    subset_gamma.  Each block of B rows is one matrix product
+    [bb | cut_B | 1] @ [Q_BA ba | 1 | cut_A]^T, scanned for its max and min.
+    Then only the first block that reaches a witness bound is made again,
+    once per side, unless the buffer still holds it.
 
     Only masks with the top position on side 0 are walked: half of them, and
     all below the rest.  A mask and its complement are the same cut, so a
     mask with the top bit set that is within the slack has a smaller
     complement within it too, and the first such mask lies in the walked half.
+    The top bit is 0 on every walked row, so its column is left out.
     """
     verts = sorted(x.members)
     k = len(verts)
@@ -94,44 +80,47 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     if k <= 1:
         return 0, 0
     w_sub = g.weight_matrix.take(verts, 0).take(verts, 1)
+    q = -2.0 * w_sub
+    q.flat[:: k + 1] = 2.0 * w_sub.sum(1)  # Q = 2 (diag(d) - W), as w_sub's diagonal is 0
     h = k // 2
     kb = k - h
     half = 1 << (kb - 1)  # B rows whose top vertex is on side 0
-    sa = sign_matrix(h)
-    sb = sign_matrix(kb)[:half]
-    left = np.empty((half, kb + 2))  # [sb | 2 qb | 1/2], one row per walked B mask
-    left[:, :kb] = sb
-    _sign_terms(sb, w_sub[h:, h:], left[:, kb])
-    left[:, kb + 1] = 0.5
-    right = np.empty((kb + 2, 1 << h))  # [va | 1/2 | 2 qa]^T, one column per A mask
-    _sign_terms(sa, w_sub[:h], right[kb + 1], right[:kb])
-    right[kb] = 0.5
-    # _SLACK T on a cut is 2 _SLACK T on s, and |w_sub| counts each edge twice
-    slack = _SLACK * float(np.abs(w_sub).sum())
+    left = np.empty((half, kb + 1))  # [bb | cut_B | 1], one row per walked B mask
+    left[:, : kb - 1] = bit_matrix(kb)[:half, : kb - 1]
+    left[:, kb - 1] = subset_gamma(q[h : k - 1, h : k - 1])
+    left[:, kb] = 1.0
+    right = np.empty((kb + 1, 1 << h))  # [Q_BA ba | 1 | cut_A]^T, one column per A mask
+    ba = bit_matrix(h)
+    step = _CHUNK_ENTRIES // h
+    for start in range(0, 1 << h, step):
+        stop = start + step
+        np.matmul(q[h : k - 1, :h], ba[start:stop].T, out=right[: kb - 1, start:stop])
+    right[kb - 1] = 1.0
+    right[kb] = subset_gamma(q[:h, :h])
+    slack = _SLACK * float(np.abs(w_sub).sum()) / 2  # |w_sub| counts each edge twice
     rows = max(1, _BLOCK_ENTRIES >> h)
     block = np.empty((min(rows, half), 1 << h))  # the one buffer; a short last block uses its top
 
     def product(start: int) -> np.ndarray:
-        """s over the block of B rows from start, written into the buffer."""
+        """Cuts of the block of B rows from start, written into the buffer."""
         return np.matmul(left[start : start + rows], right, out=block[: min(rows, half - start)])
 
-    lows = []
     highs = []
+    lows = []
     for start in range(0, half, rows):
-        s = product(start)
-        lows.append(float(np.minimum.reduce(s, None)))
-        highs.append(float(np.maximum.reduce(s, None)))
-    # The max cut is the min s, so its witness is the first mask with s <= min + slack.
-    at_most = min(lows) + slack
+        c = product(start)
+        highs.append(float(np.maximum.reduce(c, None)))
+        lows.append(float(np.minimum.reduce(c, None)))
     at_least = max(highs) - slack
-    held = len(lows) - 1  # the block the buffer holds
+    at_most = min(lows) + slack
+    held = len(highs) - 1  # the block the buffer holds
     masks = []
-    for ends, within, bound in ((lows, operator.le, at_most), (highs, operator.ge, at_least)):
+    for ends, within, bound in ((highs, operator.ge, at_least), (lows, operator.le, at_most)):
         b = next(i for i, end in enumerate(ends) if within(end, bound))
         if b != held:
-            s = product(b * rows)
+            c = product(b * rows)
             held = b
-        masks.append((b * rows << h) + int(np.argmax(within(s, bound))))
+        masks.append((b * rows << h) + int(np.argmax(within(c, bound))))
     return masks[0], masks[1]
 
 
@@ -141,10 +130,11 @@ def extreme_cuts(
     """((max weight, its cut), (min weight, its cut)) over the subgraph induced by x.
 
     One enumeration pass over every cut including the empty one, so the
-    maximum is >= 0 and the minimum <= 0.  Each witness is the first side in
-    ascending bitmask order whose cut is within 1e-12 * the subgraph's total
-    |weight| of the extreme, reported as the smaller side of the cut (ties
-    to the smaller bitmask), and each weight is recomputed edge by edge with
+    maximum is >= 0 and the minimum <= 0.  Each witness is the first side b
+    in ascending bitmask order whose cut b^T (diag(d) - W) b is within
+    1e-12 * the subgraph's total |weight| of the extreme, reported as the
+    smaller side of the cut (ties to the smaller bitmask).  The enumerated
+    values only pick the sides: each weight is recomputed edge by edge with
     cut_weight.
     """
     _check_subset(g, x)
@@ -426,6 +416,15 @@ def all_subset_gamma(g: SignedWeightedGraph, absolute: bool = False) -> np.ndarr
 
 
 _PRODUCT_BITS = 10  # tables up to this many bits come from one bit_matrix product
+
+
+@functools.cache
+def bit_matrix(k: int) -> np.ndarray:
+    """(2^k, k) float matrix; row m holds the bits of mask m (bit p in column p)."""
+    masks = np.arange(1 << k, dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(k, dtype=np.int64)[None, :]) & 1).astype(np.float64)
+    bits.setflags(write=False)
+    return bits
 
 
 def subset_gamma(q: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cuts import cut_range_bruteforce, subset_gamma
+from .cuts import bit_matrix, cut_range_bruteforce, subset_gamma
 from .errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from .graph import (
     SignedWeightedGraph,
@@ -32,7 +32,7 @@ from .graph import (
     gamma_weight,
     ordered_sum,
 )
-from .simplex import bit_matrix, solve_min
+from .simplex import solve_min
 
 LP_SIZE_CAP = 16
 _ZERO = 1e-12  # gaps within this times the total |weight| count as exactly zero

@@ -373,7 +373,7 @@ def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], 
             family=family,
             weight=res.cut.weight,
             bound=res.bound,
-            bound_ratio=abs(res.cut.weight) / res.bound if res.bound > 0 else math.inf,
+            bound_ratio=abs(res.cut.weight) / res.bound,  # bound > 0: n >= 2, no zero weight
             meets_guarantee=res.meets_guarantee,
             case=res.case_taken,
             trials_used=res.trials_used,

@@ -1,8 +1,9 @@
 """Dense primal simplex for equality-form LPs min c.x, A x = b, x >= 0.
 
-Built for the hypercube-vertex convex-combination LPs in this package: few
-rows (coordinate marginals plus a convexity row), up to 2^16 columns.  Enters
-on the most negative reduced cost (Dantzig) and falls back to Bland's
+This module is the hull LP's solver and nothing else.  Built for the
+hypercube-vertex convex-combination LPs in this package: few rows
+(coordinate marginals plus a convexity row), up to 2^16 columns.  Enters on
+the most negative reduced cost (Dantzig) and falls back to Bland's
 anti-cycling rule after a run of degenerate pivots.  Checks on cube values
 (basic values, pivot entries) use 1e-9 and checks on costs (reduced costs,
 dual slack, duality gap) 1e-9 * max|c|, so scaling c changes no decision.
@@ -13,8 +14,6 @@ certified by weak duality from the original data before it is returned.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,23 +26,6 @@ _DEGENERATE_RUN = 50
 
 # There is no JIT; kept because bench/run.py records it as ``simplex_jit``.
 HAVE_NUMBA = False
-
-
-@lru_cache(maxsize=None)
-def bit_matrix(k: int) -> np.ndarray:
-    """(2^k, k) float matrix; row m holds the bits of mask m (bit p in column p)."""
-    masks = np.arange(1 << k, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(k, dtype=np.int64)[None, :]) & 1).astype(np.float64)
-    bits.setflags(write=False)
-    return bits
-
-
-@lru_cache(maxsize=None)
-def sign_matrix(k: int) -> np.ndarray:
-    """(2^k, k) float matrix of +/-1 rows; bit 0 -> +1, bit 1 -> -1."""
-    signs = 1.0 - 2.0 * bit_matrix(k)
-    signs.setflags(write=False)
-    return signs
 
 
 def _pivot_loop(tab, basis, tol, max_iter):

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bilingap
 from bilingap import cuts
 from bilingap.cuts import (
     ENUMERATION_CAP,
@@ -135,8 +140,8 @@ def _first_attaining_reference(g: SignedWeightedGraph, x: VertexSubset) -> tuple
     w_sub = g.weight_matrix[np.ix_(verts, verts)]
     total = float(np.triu(w_sub, 1).sum())
     h = k // 2
-    sa = cuts.sign_matrix(h)
-    sb = cuts.sign_matrix(k - h)
+    sa = 1.0 - 2.0 * cuts.bit_matrix(h)
+    sb = 1.0 - 2.0 * cuts.bit_matrix(k - h)
     qa = 0.5 * np.einsum("mp,pq,mq->m", sa, w_sub[:h, :h], sa)
     qb = 0.5 * np.einsum("mp,pq,mq->m", sb, w_sub[h:, h:], sb)
     values = (total - (qb[:, None] + qa[None, :] + sb @ (sa @ w_sub[:h, h:]).T)) * 0.5
@@ -213,6 +218,27 @@ class TestEnumerationKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_k24_first_call_keeps_little_cached(self):
+        # a fresh interpreter, so no table is cached yet; the kernel keeps
+        # bit_matrix(12) (384 KiB) and subset_gamma's bit_matrix(10) (80 KiB),
+        # and one more 12-bit table would pass the bound
+        script = (
+            "import tracemalloc\n"
+            "from bilingap.cuts import extreme_cuts\n"
+            "from bilingap.instances import random_pm1_complete\n"
+            "g = random_pm1_complete(24, 24)\n"
+            "tracemalloc.start()\n"
+            "extreme_cuts(g, g.vertices)\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        src = str(Path(bilingap.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(out.stdout) < 0.6 * 2**20
 
 
 @st.composite

@@ -1,9 +1,11 @@
-"""Every name a bilingap module imports is used in that module.
+"""Every name a bilingap module imports is used, and every private name is read.
 
-No linter ships with the project, so this is the unused-import check: each
-module under src/bilingap is parsed with ast, and an imported name counts as
-used when the module reads it (a bare name, or the base of an attribute
-chain) or lists it in __all__.
+No linter ships with the project, so these are the unused-import and the
+dead-private-name checks.  Each module under src/bilingap is parsed with ast.
+An imported name counts as used when the module reads it (a bare name, or
+the base of an attribute chain) or lists it in __all__.  A module-level
+private function, class or constant (one leading underscore) counts as read
+when some module of the package reads it, as a bare name or as an attribute.
 """
 
 from __future__ import annotations
@@ -55,3 +57,60 @@ def test_the_check_sees_an_unused_import():
         "__all__ = ['Iterable']\ndef f(x: numpy.ndarray) -> None: ...\n"
     )
     assert {n for n in _imported(tree) if n not in _used(tree)} == {"Callable"}
+
+
+def _private_defs(tree: ast.Module) -> dict[str, int]:
+    """Module-level private function, class and constant names -> line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names the module reads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def _dead_private(trees: dict[str, ast.Module]) -> dict[str, int]:
+    """"module:name" -> line for each private definition no module reads."""
+    read = set().union(*map(_read, trees.values()))
+    return {
+        f"{module}:{name}": line
+        for module, tree in trees.items()
+        for name, line in _private_defs(tree).items()
+        if name not in read
+    }
+
+
+def test_no_dead_private_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    dead = _dead_private(trees)
+    assert not dead, f"private names that no module reads: {dead}"
+
+
+def test_the_check_sees_a_dead_private_name():
+    trees = {
+        "a.py": ast.parse(
+            "_CAP = 3\n_DEAD: int = 4\n__all__ = []\n"
+            "def _used(): return _CAP\ndef _terms(): ...\nclass _Gone: ...\n"
+        ),
+        "b.py": ast.parse("from . import a\nfrom .a import _terms\na._used()\n"),
+    }
+    assert set(_dead_private(trees)) == {"a.py:_DEAD", "a.py:_terms", "a.py:_Gone"}

@@ -6,20 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilingap import simplex
+from bilingap.cuts import bit_matrix
 from bilingap.envelopes import _staircase_start
 from bilingap.errors import InvariantViolationError
-from bilingap.simplex import _pivot_loop, bit_matrix, sign_matrix, solve_min
+from bilingap.simplex import _pivot_loop, solve_min
 
 
 def test_bit_matrix_small():
     m = bit_matrix(2)
     assert m.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
-
-
-def test_sign_matrix_small():
-    s = sign_matrix(1)
-    assert s.tolist() == [[1], [-1]]
-    assert np.all(sign_matrix(3) == 1 - 2 * bit_matrix(3))
 
 
 def _start_tableau(a, b, c, basis):
