@@ -318,46 +318,52 @@ def find_large_cut(
 
 
 _TABLE_CAP = 16  # subset masks and pair indices fit in uint16
-_PAIR_CHUNK = 1 << 13  # max (subset, side) pairs per kernel step, unless one group is larger
+# Max (subset, side) pairs per kernel step, unless one group is larger; a step
+# holds four float temporaries of its length, 32 KiB each.
+_PAIR_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
 class _PairChunk:
     """Whole subset groups of the all-subset table, as read-only index arrays.
 
-    Group t is the subset xs[t] with all of its submasks: pairs
-    starts[t] .. starts[t] + reps[t] - 1 of sub/rest, with sub | rest = xs[t]
-    and sub & rest = 0.
+    Group t is the subset xs[t] with one side of each of its cuts: pairs
+    starts[t] .. starts[t] + reps[t] - 1 of sub/rest, with sub | rest = xs[t],
+    sub & rest = 0 and the top set bit of xs[t] in rest.
     """
 
     xs: np.ndarray  # uint16 subset masks, one per group
-    reps: np.ndarray  # group sizes 2^|xs|
-    sub: np.ndarray  # uint16 side masks, one per pair
+    reps: np.ndarray  # group sizes 2^(|xs| - 1), and 1 for the empty subset
+    sub: np.ndarray  # uint16 side masks without the top bit of xs, one per pair
     rest: np.ndarray  # uint16 complements xs ^ sub, one per pair
     starts: np.ndarray  # group offsets within this chunk, for reduceat
 
 
 @functools.cache
 def _build_pair_chunks(n: int) -> tuple[_PairChunk, ...]:
-    """Every (subset, side) pair over n vertices, grouped by subset, in chunks.
+    """One (subset, side) pair per cut over n vertices, grouped by subset, in chunks.
 
-    Groups run by popcount, then by mask, so group sizes never decrease and a
-    chunk packs whole groups up to _PAIR_CHUNK pairs.  The 3^n pairs depend
-    only on n, not on the graph.
+    The side sub of subset x runs over the submasks of x without its top set
+    bit, so sub and rest = x ^ sub meet each cut of x once, and the empty
+    subset keeps its (0, 0) pair: (3^n + 1) / 2 pairs.  Groups run by
+    popcount, then by mask, so group sizes never decrease and a chunk packs
+    whole groups up to _PAIR_CHUNK pairs.  The pairs depend only on n, not on
+    the graph.
     """
     masks = np.arange(1 << n, dtype=np.uint16)
     pop = sum((masks >> b) & 1 for b in range(n))
-    sub = np.empty(3**n, dtype=np.uint16)
-    rest = np.empty(3**n, dtype=np.uint16)
+    sub = np.empty((3**n + 1) // 2, dtype=np.uint16)
+    rest = np.empty_like(sub)
     by_pop = [masks[pop == k] for k in range(n + 1)]
     xs = np.concatenate(by_pop)
-    reps = np.concatenate([np.full(len(xk), 1 << k) for k, xk in enumerate(by_pop)])
+    reps = np.concatenate([np.full(len(xk), 1 << max(k - 1, 0)) for k, xk in enumerate(by_pop)])
     offset = 0
     for k, xk in enumerate(by_pop):
-        # Submasks by doubling over the set bits of each mask, lowest first.
+        # Submasks by doubling over the set bits of each mask, lowest first,
+        # all but the top one.
         s = np.zeros((len(xk), 1), dtype=np.uint16)
         remaining = xk.copy()
-        for _ in range(k):
+        for _ in range(k - 1):
             low = remaining & -remaining
             remaining ^= low
             s = np.concatenate([s, s | low[:, None]], axis=1)
@@ -386,10 +392,12 @@ def all_subset_cut_extremes(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndar
     """(max, min) signed cut weight of every induced subgraph, indexed by subset mask.
 
     Entry [mask] covers the subgraph induced by {v : bit v-1 of mask}.  Each
-    of the 3^n (subset x, side u) pairs gives the cut weight
-    gamma(x) - gamma(u) - gamma(x minus u), reduced per x, so n <= 16.
-    The extremes of the same doubles are exact: the tables are bit-identical
-    to a pair-by-pair loop that starts from 0.0 and compares strictly.
+    (subset x, side u) pair over the vertices gives the cut weight
+    gamma(x) - gamma(u) - gamma(x minus u), reduced per x, so n <= 16.  The
+    index holds one of u and x minus u, and each pair computes the double of
+    both orders of subtraction, so the extremes run over the same doubles as
+    all 3^n pairs and are exact: the tables are bit-identical to a
+    pair-by-pair loop that starts from 0.0 and compares strictly.
     """
     n = g.n
     if n > _TABLE_CAP:
@@ -398,12 +406,18 @@ def all_subset_cut_extremes(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndar
     mu_plus = np.empty(1 << n)
     mu_minus = np.empty(1 << n)
     for c in _build_pair_chunks(n):
-        val = np.repeat(gam[c.xs], c.reps) - gam[c.sub]
-        val -= gam[c.rest]
-        mu_plus[c.xs] = np.fmax.reduceat(val, c.starts)
-        mu_minus[c.xs] = np.fmin.reduceat(val, c.starts)
-    # The empty side's 0.0 bounds both tables; + 0.0 turns -0.0 into 0.0.
-    return np.fmax(mu_plus, 0.0) + 0.0, np.fmin(mu_minus, 0.0) + 0.0
+        gx = np.repeat(gam.take(c.xs), c.reps)
+        b = gam.take(c.sub)
+        r = gam.take(c.rest)
+        one = gx - b
+        one -= r  # the pair's cut, (gx - b) - r
+        gx -= r
+        gx -= b  # its complement's, (gx - r) - b
+        mu_plus.put(c.xs, np.fmax.reduceat(np.fmax(one, gx, out=b), c.starts))
+        mu_minus.put(c.xs, np.fmin.reduceat(np.fmin(one, gx, out=r), c.starts))
+    # Every group holds the empty side, whose cut is exactly +0.0, so no bound
+    # needs a clamp at 0.0; + 0.0 turns a -0.0 extreme into 0.0.
+    return mu_plus + 0.0, mu_minus + 0.0
 
 
 def all_subset_gamma(g: SignedWeightedGraph, absolute: bool = False) -> np.ndarray:
