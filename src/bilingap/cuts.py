@@ -24,12 +24,11 @@ import numpy as np
 
 from .errors import CapacityError, InputError, InvariantViolationError
 from .graph import (
-    Cut, SignedWeightedGraph, VertexSubset, _check_subset, _is_int, column_sum, cut_weight
+    _SLACK, Cut, SignedWeightedGraph, VertexSubset, _check_subset, _is_int, column_sum, cut_weight
 )
 from .rng import bits, draws
 
 ENUMERATION_CAP = 26
-_SLACK = 1e-12  # float slack of cut comparisons and witnesses, times the total |weight|
 # Max float64 entries per enumeration block: 256 KiB, so the one block buffer
 # stays in one core's L2 while it is written and scanned twice.
 _BLOCK_ENTRIES = 1 << 15
@@ -132,7 +131,7 @@ def extreme_cuts(
     One enumeration pass over every cut including the empty one, so the
     maximum is >= 0 and the minimum <= 0.  Each witness is the first side b
     in ascending bitmask order whose cut b^T (diag(d) - W) b is within
-    1e-12 * the subgraph's total |weight| of the extreme, reported as the
+    _SLACK * the subgraph's total |weight| of the extreme, reported as the
     smaller side of the cut (ties to the smaller bitmask).  The enumerated
     values only pick the sides: each weight is recomputed edge by edge with
     cut_weight.
@@ -253,12 +252,8 @@ def find_large_cut(
 
     size = len(left_verts)
     best_stat = -math.inf
-    best_picks = np.zeros(size)
-    best_cols = np.zeros(len(right_verts))
-    trials = 0
     stat_met = False
-    for t in range(trial_budget):
-        trials += 1
+    for t in range(trial_budget):  # budget >= 1, and the first trial beats best_stat
         picks = bits(draws(rng_seed, t * size, size))
         cols = picks @ w_lr
         stat = float(np.abs(cols).sum())
@@ -277,7 +272,7 @@ def find_large_cut(
             cut=cut,
             bound=bound,
             meets_guarantee=abs(cut.weight) >= bound - slack,
-            trials_used=trials,
+            trials_used=t + 1,
             case_taken="brute_fallback",
         )
 
@@ -312,7 +307,7 @@ def find_large_cut(
         cut=Cut(ground_set=g.vertices, side=u, weight=weight),
         bound=bound,
         meets_guarantee=meets,
-        trials_used=trials,
+        trials_used=t + 1,
         case_taken=case,
     )
 

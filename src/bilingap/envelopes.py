@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -22,6 +21,8 @@ import numpy as np
 from .cuts import bit_matrix, cut_range_bruteforce, subset_gamma
 from .errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from .graph import (
+    MAX_VERTICES,
+    _SLACK,
     SignedWeightedGraph,
     VertexSubset,
     _check_subset,
@@ -35,12 +36,15 @@ from .graph import (
 from .simplex import solve_min
 
 LP_SIZE_CAP = 16
-_ZERO = 1e-12  # gaps within this times the total |weight| count as exactly zero
 
 
 @dataclass(frozen=True)
 class EvaluationPoint:
-    """Point of [0,1]^n with its coordinate partition into zeros, ones, fractionals."""
+    """Point of [0,1]^n with its coordinate partition into zeros, ones, fractionals.
+
+    The validation pass also sets zero_support, one_support, fractional_support
+    and is_half_point (every coordinate exactly 0, 1/2 or 1; no tolerance).
+    """
 
     coords: tuple[float, ...]
 
@@ -49,12 +53,25 @@ class EvaluationPoint:
             coords = tuple(self.coords)  # read once: coords may be a one-shot iterator
         except TypeError:
             raise InputError(f"coordinates must be real numbers, got {self.coords!r}") from None
+        if len(coords) > MAX_VERTICES:
+            raise CapacityError(f"point has {len(coords)} coordinates, above {MAX_VERTICES}")
+        values = []
+        masks = [0, 0, 0]  # coordinates exactly 0, exactly 1 and in between
+        half = True
         for idx, c in enumerate(coords, start=1):
             if not _is_real(c):
                 raise InputError(f"coordinate {idx} = {c!r} is not a real number")
             if not 0 <= c <= 1:
                 raise InputError(f"coordinate {idx} = {c!r} is outside [0, 1]")
-        object.__setattr__(self, "coords", tuple(map(float, coords)))
+            c = float(c)
+            values.append(c)
+            masks[0 if c == 0 else 1 if c == 1 else 2] |= 1 << idx - 1
+            half = half and c in (0.0, 0.5, 1.0)
+        zero, one, frac = map(VertexSubset, masks)
+        vars(self).update(  # what object.__setattr__ does for a frozen dataclass, in one call
+            coords=tuple(values), zero_support=zero, one_support=one, fractional_support=frac,
+            is_half_point=half,
+        )
 
     @classmethod
     def of(cls, *coords: float) -> "EvaluationPoint":
@@ -73,29 +90,6 @@ class EvaluationPoint:
     @property
     def n(self) -> int:
         return len(self.coords)
-
-    @cached_property
-    def zero_support(self) -> VertexSubset:
-        return VertexSubset.from_members(
-            i for i, c in enumerate(self.coords, start=1) if c == 0.0
-        )
-
-    @cached_property
-    def one_support(self) -> VertexSubset:
-        return VertexSubset.from_members(
-            i for i, c in enumerate(self.coords, start=1) if c == 1.0
-        )
-
-    @cached_property
-    def fractional_support(self) -> VertexSubset:
-        return VertexSubset.from_members(
-            i for i, c in enumerate(self.coords, start=1) if 0.0 < c < 1.0
-        )
-
-    @cached_property
-    def is_half_point(self) -> bool:
-        """True when every coordinate is exactly 0, 1/2, or 1 (no tolerance)."""
-        return all(c in (0.0, 0.5, 1.0) for c in self.coords)
 
 
 def _check_point(g: SignedWeightedGraph, x: EvaluationPoint) -> None:
@@ -265,8 +259,9 @@ def dual_certificate(
     minimum (side "upper_envelope", certifying cav) signed cut weight of the
     subgraph induced by t_frac.  The returned certificate is y = -mu/2 and
     z_i = half the weight from i into t_frac; feasibility is checked against
-    every subset of t_frac and a CertificateError carrying a violating subset
-    is raised if mu was wrong in the infeasible direction.
+    every subset of t_frac, within _SLACK times the subgraph's total |weight|,
+    and a CertificateError carrying a violating subset is raised if mu was
+    wrong in the infeasible direction.
     """
     if side not in ("lower_envelope", "upper_envelope"):
         raise InputError(f"side must be 'lower_envelope' or 'upper_envelope', got {side!r}")
@@ -285,8 +280,9 @@ def dual_certificate(
     z = {v: 0.5 * float(ordered_sum(w[v, u] for u in verts if u != v)) for v in verts}
     y = -0.5 * mu
     # slack[m] = gamma(X) - sum_{i in X} z_i for every X in t_frac (mask bit p <-> verts[p])
-    slack = subset_gamma(w[np.ix_(verts, verts)] - np.diag([2.0 * z[v] for v in verts]))
-    tol = 1e-9 * max(1.0, float(np.abs(slack).max()))  # rounding grows with the slack
+    w_sub = w[np.ix_(verts, verts)]
+    slack = subset_gamma(w_sub - np.diag([2.0 * z[v] for v in verts]))
+    tol = _SLACK * float(np.abs(w_sub).sum()) / 2  # |w_sub| counts each edge twice
     if side == "lower_envelope":
         bad = np.flatnonzero(y > slack + tol)
     else:
@@ -336,13 +332,13 @@ class GapReport:
 def gap_ratio(mcgap: float, chgap: float, total: float) -> tuple[float, float, float, bool]:
     """(mcgap, chgap, ratio, degenerate): the one rule for the gap ratio mcgap/chgap.
 
-    total is the graph's total_abs_weight, and gaps within _ZERO * total of 0
-    count as zero, the cut search's slack rule.  A gap below that is a bug and
-    raises InvariantViolationError; smaller negative rounding is clamped to 0.
+    total is the graph's total_abs_weight, and gaps within _SLACK * total of 0
+    count as zero.  A gap below that is a bug and raises
+    InvariantViolationError; smaller negative rounding is clamped to 0.
     The ratio is reported as 1 with the degenerate flag when both gaps are
     zero, and as infinity when only chgap is.
     """
-    zero = _ZERO * total
+    zero = _SLACK * total
     if chgap < -zero or mcgap < -zero:
         raise InvariantViolationError(f"negative gap computed: mcgap={mcgap}, chgap={chgap}")
     mcgap = max(mcgap, 0.0)

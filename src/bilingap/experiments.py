@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .cuts import all_subset_cut_extremes, all_subset_gamma, cut_range_bruteforce, find_large_cut
 from .envelopes import EvaluationPoint, gap_ratio, mcgap_halfpoint
 from .errors import CapacityError, InputError
-from .graph import SignedWeightedGraph, ordered_sum
+from .graph import _SLACK, SignedWeightedGraph, ordered_sum
 from .hullcheck import check_hull_exact
 from .instances import (
     hadamard_discrepancy_bound,
@@ -330,14 +330,15 @@ def run_hadamard_ratio(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     rows = []  # discrepancy rows, one per worker call, in size order
 
     def worker(n):
-        rec, mu_plus, mu_minus = _gap_measurement(hadamard_instance(n), n, math.sqrt(n) / 3.0)
+        g = hadamard_instance(n)
+        rec, mu_plus, mu_minus = _gap_measurement(g, n, math.sqrt(n) / 3.0)
         bound = hadamard_discrepancy_bound(n)
         rows.append({
             "n": n,
             "mu_plus": mu_plus,
             "mu_minus": mu_minus,
             "discrepancy_bound": bound,
-            "discrepancy_ok": mu_plus <= bound + 1e-9 and -mu_minus <= bound + 1e-9,
+            "discrepancy_ok": max(mu_plus, -mu_minus) <= bound + _SLACK * g.total_abs_weight,
             **{k: rec[k] for k in ("ratio", "threshold", "threshold_met")},
         })
         return rec
@@ -395,10 +396,10 @@ def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], 
 
 
 def _numeric_exact(g: SignedWeightedGraph) -> bool:
-    """mu_plus(X) - mu_minus(X) = |gamma|(X) for every subset X (n <= 16), within 1e-9 * total."""
+    """mu_plus(X) - mu_minus(X) = |gamma|(X) for every subset X (n <= 16), within _SLACK * total."""
     mu_plus, mu_minus = all_subset_cut_extremes(g)
     gabs = all_subset_gamma(g, absolute=True)
-    return bool(abs((mu_plus - mu_minus) - gabs).max() <= 1e-9 * g.total_abs_weight)
+    return bool(abs((mu_plus - mu_minus) - gabs).max() <= _SLACK * g.total_abs_weight)
 
 
 def _census_instances(cfg: ExperimentConfig):

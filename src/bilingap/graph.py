@@ -22,6 +22,10 @@ from .errors import CapacityError, InputError, InvariantViolationError
 
 MAX_VERTICES = 63
 MAX_TOTAL_ABS_WEIGHT = 1e300  # a graph above this could overflow its cut and gap sums to inf
+# The one float rule outside the LP: values within _SLACK times the total |weight|
+# compared (the graph's, or an induced subgraph's) count as equal.
+_SLACK = 1e-12
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float; a weight below it is refused
 
 
 @dataclass(frozen=True, order=True)
@@ -153,8 +157,8 @@ def _checked_columns(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray
     matrix = np.zeros((n + 1, n + 1))
     matrix.put(key, w)  # the upper triangle, as float64
     w = matrix.take(key)
-    # a zero weight or a repeated (i, j) fills fewer than m entries
-    if np.count_nonzero(matrix) < m or np.count_nonzero(np.isfinite(w)) < m:
+    # a zero weight or a repeated (i, j) fills fewer than m entries; then subnormal, inf, nan
+    if np.count_nonzero(matrix) < m or np.count_nonzero(np.isfinite(w) & (abs(w) >= _TINY)) < m:
         return None
     if np.count_nonzero(key[1:] > key[:-1]) < m - 1:  # key order is (i, j) order
         order = np.argsort(key, kind="stable")
@@ -193,6 +197,8 @@ def _edge_columns(n: int, edges: Iterable) -> tuple[np.ndarray, np.ndarray, np.n
             raise InputError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= {n}")
         if w == 0.0:
             raise InputError(f"edge ({i}, {j}) has zero weight; omit absent edges")
+        if abs(w) < _TINY:
+            raise InputError(f"edge ({i}, {j}) has subnormal weight {w!r}, below {_TINY!r}")
         if not math.isfinite(w):
             raise InputError(f"edge ({i}, {j}) has non-finite weight {w!r}")
         if (i, j) in seen:
@@ -229,7 +235,7 @@ def _column(values, name: str, floating: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignedWeightedGraph:
-    """Simple undirected graph with nonzero real edge weights.
+    """Simple undirected graph with nonzero, finite, normal float edge weights.
 
     Edges are stored canonically as (i, j, weight) with 1 <= i < j <= n, sorted
     lexicographically.  Construction validates the whole edge list, rejects a

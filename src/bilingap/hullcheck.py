@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cuts import cut_range_bruteforce
 from .errors import InvariantViolationError
-from .graph import SignedWeightedGraph, VertexSubset, gamma_abs_weight
+from .graph import _SLACK, SignedWeightedGraph, VertexSubset, gamma_abs_weight
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,10 @@ def check_hull_exact(g: SignedWeightedGraph) -> HullExactness:
 
 
 def verify_exactness_numerically(g: SignedWeightedGraph, x: VertexSubset) -> bool:
-    """Check mu_plus(X) - mu_minus(X) = |gamma|(X) within 1e-9 * total |weight| by enumeration.
+    """Check mu_plus(X) - mu_minus(X) = |gamma|(X) within _SLACK * total |weight| by enumeration.
 
     Exactness of the hull is equivalent to this identity holding for every
     subset; this verifies one subset (enumeration cap 26 vertices).
     """
     mu_plus, mu_minus = cut_range_bruteforce(g, x)
-    return abs((mu_plus - mu_minus) - gamma_abs_weight(g, x)) <= 1e-9 * g.total_abs_weight
+    return abs((mu_plus - mu_minus) - gamma_abs_weight(g, x)) <= _SLACK * g.total_abs_weight

@@ -25,7 +25,9 @@ from bilingap import cuts, envelopes, simplex
 from bilingap.cli import main
 from bilingap.cuts import all_subset_gamma
 from bilingap.errors import CapacityError, CertificateError, InputError, InvariantViolationError
-from bilingap.graph import SignedWeightedGraph, VertexSubset, gamma_weight, write_instance
+from bilingap.graph import (
+    _SLACK, SignedWeightedGraph, VertexSubset, gamma_abs_weight, gamma_weight, write_instance
+)
 from bilingap.instances import hadamard_instance, random_pm1_complete
 
 from conftest import enumerate_cut_values, oracle_hull, oracle_mu, random_int_graph
@@ -47,6 +49,11 @@ class TestEvaluationPoint:
         assert not EvaluationPoint.from_iterable((0.0, 0.5000001, 1.0)).is_half_point
         assert EvaluationPoint.all_half(3).is_half_point
         assert EvaluationPoint.from_iterable(()).is_half_point
+
+    def test_more_coordinates_than_the_bitmask_cap_is_a_capacity_error(self):
+        assert EvaluationPoint.all_half(63).fractional_support.mask == (1 << 63) - 1
+        with pytest.raises(CapacityError, match="64 coordinates"):
+            EvaluationPoint.all_half(64)
 
     def test_bounds_validated(self):
         with pytest.raises(InputError):
@@ -486,8 +493,9 @@ class TestDualCertificate:
             verts = sorted(x.members)
             cuts_by_mask = enumerate_cut_values(g, x)
             mu_plus, mu_minus = oracle_mu(g, x)
-            dual_certificate(g, x, mu_plus - 1e-9, "lower_envelope")
-            dual_certificate(g, x, mu_minus + 1e-9, "upper_envelope")
+            near = 0.5 * _SLACK * gamma_abs_weight(g, x)  # half the certificate's tolerance
+            dual_certificate(g, x, mu_plus - near, "lower_envelope")
+            dual_certificate(g, x, mu_minus + near, "upper_envelope")
             for d in (0.5, 1.0, 3.0):
                 for side, mu, violates in (
                     ("lower_envelope", mu_plus - d, lambda c, mu: c > mu + 2e-9),

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +126,16 @@ class TestGraphConstruction:
         with pytest.raises(InputError):
             SignedWeightedGraph(2, ((1, 2, 0.0),))
 
+    def test_rejects_a_subnormal_weight_and_takes_the_smallest_normal_one(self):
+        for w in (5e-324, -math.nextafter(TINY, 0.0)):
+            with pytest.raises(InputError, match="subnormal weight"):
+                SignedWeightedGraph(2, ((1, 2, w),))
+            with pytest.raises(InputError, match="subnormal weight"):
+                SignedWeightedGraph.from_columns(2, [1], [2], [w])
+        for w in (TINY, -TINY):
+            assert SignedWeightedGraph(2, ((1, 2, w),)).total_abs_weight == TINY
+            assert SignedWeightedGraph.from_columns(2, [1], [2], [w]).total_abs_weight == TINY
+
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
             SignedWeightedGraph(2, ((1, 2, math.inf),))
@@ -190,6 +201,9 @@ class TestGraphConstruction:
             MIXED.weight_matrix[1, 2] = 9.0
 
 
+TINY = sys.float_info.min  # the smallest normal float
+
+
 def _construction_reference(n: int, edges) -> dict:
     """The per-edge construction loop that the column checks replace, with its derived fields."""
     canon = []
@@ -211,6 +225,8 @@ def _construction_reference(n: int, edges) -> dict:
             raise InputError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= {n}")
         if w == 0.0:
             raise InputError(f"edge ({i}, {j}) has zero weight; omit absent edges")
+        if abs(w) < sys.float_info.min:
+            raise InputError(f"edge ({i}, {j}) has subnormal weight {w!r}, below {TINY!r}")
         if not math.isfinite(w):
             raise InputError(f"edge ({i}, {j}) has non-finite weight {w!r}")
         if (i, j) in seen:
@@ -275,6 +291,8 @@ _FAULTS = {
     "beyond n": lambda i, j, n: (i, n + 1, 1.0),
     "huge index": lambda i, j, n: (i, 2**70, 1.0),
     "zero": lambda i, j, n: (i, j, 0.0),
+    "subnormal": lambda i, j, n: (i, j, -5e-324),
+    "largest subnormal": lambda i, j, n: (i, j, np.float64(math.nextafter(TINY, 0.0))),
     "infinite": lambda i, j, n: (i, j, -math.inf),
     "nan": lambda i, j, n: (np.int64(i), j, np.float64(math.nan)),
     "reversed and zero": lambda i, j, n: (j, i, 0.0),
@@ -440,6 +458,8 @@ class TestFromColumns:
     # vertex pair and weight of a bad edge on n = 6 vertices
     BAD = {
         "zero": (2, 4, 0.0),
+        "subnormal": (2, 4, 5e-324),
+        "largest subnormal": (2, 4, -math.nextafter(TINY, 0.0)),
         "nan": (2, 4, math.nan),
         "inf": (2, 4, -math.inf),
         "i == j": (3, 3, 1.0),

@@ -114,3 +114,43 @@ def test_the_check_sees_a_dead_private_name():
         "b.py": ast.parse("from . import a\nfrom .a import _terms\na._used()\n"),
     }
     assert set(_dead_private(trees)) == {"a.py:_DEAD", "a.py:_terms", "a.py:_Gone"}
+
+
+# The one float tolerance outside the LP is graph._SLACK; simplex.py keeps the
+# LP's own documented rule.  A float literal this small anywhere else is a
+# second tolerance.
+_SMALL_FLOAT = 1e-6
+
+
+def _small_floats(tree: ast.Module, slack_home: bool) -> list[int]:
+    """Lines of float literals with 0 < |v| < 1e-6, but _SLACK's own value if slack_home."""
+    allowed = {
+        id(node.value)
+        for node in tree.body
+        if slack_home and isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["_SLACK"]
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0 < abs(node.value) < _SMALL_FLOAT and id(node) not in allowed
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "simplex.py"], ids=lambda p: p.name
+)
+def test_no_tolerance_but_the_slack(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _small_floats(tree, slack_home=path.name == "graph.py")
+    assert not lines, f"{path.name}: float tolerances outside graph._SLACK on lines {lines}"
+
+
+def test_the_check_sees_a_second_tolerance():
+    tree = ast.parse(
+        "_SLACK = 1e-12\n_ZERO = 1e-12\ntol = 1e-9 * max(1.0, x)\n"
+        "ok = y <= b + -2.5e-7\nbig = 1e-6 + 0.5 + 0\n"
+    )
+    assert _small_floats(tree, slack_home=True) == [2, 3, 4]
+    assert _small_floats(tree, slack_home=False) == [1, 2, 3, 4]

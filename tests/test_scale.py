@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pytest
 from bilingap.cli import main
 from bilingap.cuts import all_subset_cut_extremes, all_subset_gamma, extreme_cuts, find_large_cut
 from bilingap.envelopes import EvaluationPoint, dual_certificate, gap_report
-from bilingap.errors import InputError
+from bilingap.errors import CertificateError, InputError
 from bilingap.experiments import _numeric_exact
 from bilingap.graph import MAX_TOTAL_ABS_WEIGHT, SignedWeightedGraph, VertexSubset, write_instance
 from bilingap.hullcheck import check_hull_exact, verify_exactness_numerically
@@ -56,6 +57,14 @@ def _points() -> list[EvaluationPoint]:
     return half + general
 
 
+def _certifies(g: SignedWeightedGraph, t: VertexSubset, mu: float, side: str) -> bool:
+    try:
+        dual_certificate(g, t, mu, side)
+    except CertificateError:
+        return False
+    return True
+
+
 def _layers(g: SignedWeightedGraph) -> tuple[dict, dict]:
     """(values that scale with the weights, decisions that must not move) over every layer."""
     values, decisions = {}, {}
@@ -71,6 +80,8 @@ def _layers(g: SignedWeightedGraph) -> tuple[dict, dict]:
                 for mu, side in ((mx, "lower_envelope"), (mn, "upper_envelope")):
                     cert = dual_certificate(g, t, mu, side)
                     values[side, x] = (cert.y, *cert.z.values())
+                    wrong = (_certifies(g, t, m, side) for m in (0.5 * mu, 0.0))
+                    decisions[side, x] = (mu == 0.0, *wrong)
     (mx, _), (mn, _) = extreme_cuts(g, g.vertices)
     values["extreme_cuts",] = (mx, mn)
     for budget in (1, 1000):
@@ -94,6 +105,9 @@ def test_every_layer_scales_with_the_weights(name):
     g = GRAPHS[name]
     want_values, want_decisions = _layers(g)
     assert True in want_decisions["verify",] and False in want_decisions["verify",]
+    # half the extreme and 0 are wrong mus unless the extreme is 0 itself
+    sides = [d for key, d in want_decisions.items() if key[0].endswith("_envelope")]
+    assert set(sides) == {(False, False, False), (True, True, True)}
     for s in (1e-11, _largest_scale(g)):
         values, decisions = _layers(_scaled(g, s))
         assert decisions == want_decisions, s
@@ -142,3 +156,24 @@ def test_eval_ratio_does_not_depend_on_the_unit(capsys, tmp_path):
     assert not unscaled["ratio_infinite"] and not scaled["ratio_infinite"]
     assert scaled["ratio"] == pytest.approx(unscaled["ratio"], rel=1e-9)
     assert scaled["chgap"] == pytest.approx(1e-11 * unscaled["chgap"], rel=1e-9)
+
+
+def test_a_subnormal_weight_exits_1(capsys, tmp_path):
+    # on these weights the LP's cost tolerance 1e-9 * max|c| would underflow to 0
+    path = tmp_path / "subnormal.json"
+    path.write_text('{"n": 3, "edges": [[1, 2, 5e-324], [2, 3, 5e-324], [1, 3, -5e-324]]}')
+    assert main(["eval", "--instance", str(path), "--point", "0.3,0.7,0.6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "subnormal weight" in err
+
+
+@pytest.mark.parametrize("make", [random_pm1_complete, uniform_real_complete])
+def test_the_smallest_normal_weights_run_the_lp(make):
+    g = make(8, 3)
+    i, j, w = g._columns
+    tiny = SignedWeightedGraph.from_columns(g.n, i, j, w / np.abs(w).min() * sys.float_info.min)
+    assert np.abs(tiny._columns[2]).min() == sys.float_info.min
+    rnd = random.Random(30)
+    for _ in range(30):
+        x = EvaluationPoint.of(*(round(rnd.uniform(0.01, 0.99), 3) for _ in range(g.n)))
+        assert gap_report(tiny, x).method == "lp"
