@@ -17,7 +17,7 @@ from .cuts import extreme_cuts, find_large_cut
 from .envelopes import EvaluationPoint, gap_report
 from .errors import CapacityError, InputError, InvariantViolationError
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
-from .graph import VertexSubset, ascii_float, ascii_int, read_instance, write_instance
+from .graph import VertexSubset, _read_json, ascii_float, ascii_int, read_instance, write_instance
 from .hullcheck import check_hull_exact
 from .instances import INSTANCE_FAMILIES
 
@@ -165,7 +165,7 @@ def _cmd_experiment(args) -> int:
     base: dict = {}
     if args.config is not None:
         with open(args.config) as fh:
-            base = json.load(fh)
+            base = _read_json(fh.read(), "config")
         if not isinstance(base, dict):
             raise InputError(f"config file {args.config} must hold a JSON object")
     for flag, keys in _EXPERIMENT_FLAGS.items():
@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"capacity: {exc}\n")
         return 2
-    except (InputError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -3,10 +3,10 @@
 extreme_cuts enumerates every cut of an induced subgraph once (meet in the
 middle, vectorized, capped at 26 vertices) and returns both extremes with
 witnesses; max/min_cut_bruteforce and cut_range_bruteforce are views of it.
-A cut is the 0/1 quadratic form b^T (diag(d) - W) b, d the row sums of W, so
-the enumeration reads the two helpers that build every per-mask table here:
-bit_matrix, the 0/1 rows of the masks, and subset_gamma, a block's form on
-every mask.
+A cut is the 0/1 quadratic form b^T (diag(d) - W) b, d the row sums of W, and
+subset_gamma gives a symmetric block's form on every mask.  The enumeration,
+and subset_gamma above 10 bits, compute the form as one meet-in-the-middle
+matrix product whose operands come from one builder, _form_operands.
 find_large_cut returns a cut of the whole graph whose absolute signed weight
 is at least total_abs_weight / (600 sqrt(n)), by sampling subsets of one side
 of a half-weight partition until the sampled aggregate discrepancy is large
@@ -29,8 +29,9 @@ from .graph import (
 from .rng import bits, draws
 
 ENUMERATION_CAP = 26
-# Max float64 entries per enumeration block: 256 KiB, so the one block buffer
-# stays in one core's L2 while it is written and scanned twice.
+# Max float64 entries per block of a meet-in-the-middle product: 256 KiB, so
+# the cut scan's one block buffer stays in one core's L2 while it is written
+# and scanned twice, and each product runs on one OpenBLAS thread.
 _BLOCK_ENTRIES = 1 << 15
 # Max float64 entries per piece of the cross term Q_BA ba (32 KiB): products
 # small enough that OpenBLAS runs each on one thread.
@@ -56,19 +57,14 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     apart at another, and the slack keeps the witness the same at both.
 
     The cut of side b (bit p set: position p on side 1) is the 0/1 quadratic
-    form 1/2 b^T Q b with Q = 2 (diag(d) - W) and d the row sums of W.  Split
-    the positions into A (the low h) and B (the rest): cut = cut_A + cut_B +
-    bb . (Q_BA ba), with cut_A and cut_B the halves' own forms from
-    subset_gamma.  Each block of B rows is one matrix product
-    [bb | cut_B | 1] @ [Q_BA ba | 1 | cut_A]^T, scanned for its max and min.
-    Then only the first block that reaches a witness bound is made again,
-    once per side, unless the buffer still holds it.
-
-    Only masks with the top position on side 0 are walked: half of them, and
-    all below the rest.  A mask and its complement are the same cut, so a
-    mask with the top bit set that is within the slack has a smaller
-    complement within it too, and the first such mask lies in the walked half.
-    The top bit is 0 on every walked row, so its column is left out.
+    form 1/2 b^T Q b with Q = 2 (diag(d) - W) and d the row sums of W.  Only
+    masks with the top position on side 0 are walked: all below the rest.  A
+    mask and its complement are the same cut, so the first mask within the
+    slack lies in the walked half, whose cuts are the form of Q without its
+    top row and column.  Each block of _form_operands rows is one product into
+    one reused buffer, scanned for its max and min; then only the first block
+    that reaches a witness bound is made again, once per side, unless the
+    buffer still holds it.
     """
     verts = sorted(x.members)
     k = len(verts)
@@ -81,27 +77,14 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     w_sub = g.weight_matrix.take(verts, 0).take(verts, 1)
     q = -2.0 * w_sub
     q.flat[:: k + 1] = 2.0 * w_sub.sum(1)  # Q = 2 (diag(d) - W), as w_sub's diagonal is 0
-    h = k // 2
-    kb = k - h
-    half = 1 << (kb - 1)  # B rows whose top vertex is on side 0
-    left = np.empty((half, kb + 1))  # [bb | cut_B | 1], one row per walked B mask
-    left[:, : kb - 1] = bit_matrix(kb)[:half, : kb - 1]
-    left[:, kb - 1] = subset_gamma(q[h : k - 1, h : k - 1])
-    left[:, kb] = 1.0
-    right = np.empty((kb + 1, 1 << h))  # [Q_BA ba | 1 | cut_A]^T, one column per A mask
-    ba = bit_matrix(h)
-    step = _CHUNK_ENTRIES // h
-    for start in range(0, 1 << h, step):
-        stop = start + step
-        np.matmul(q[h : k - 1, :h], ba[start:stop].T, out=right[: kb - 1, start:stop])
-    right[kb - 1] = 1.0
-    right[kb] = subset_gamma(q[:h, :h])
+    left, right = _form_operands(q[: k - 1, : k - 1])
     slack = _SLACK * float(np.abs(w_sub).sum()) / 2  # |w_sub| counts each edge twice
-    rows = max(1, _BLOCK_ENTRIES >> h)
-    block = np.empty((min(rows, half), 1 << h))  # the one buffer; a short last block uses its top
+    half, width = len(left), right.shape[1]
+    rows = max(1, _BLOCK_ENTRIES // width)
+    block = np.empty((min(rows, half), width))  # the one buffer; a short last block uses its top
 
     def product(start: int) -> np.ndarray:
-        """Cuts of the block of B rows from start, written into the buffer."""
+        """Cuts of the block of rows from start, written into the buffer."""
         return np.matmul(left[start : start + rows], right, out=block[: min(rows, half - start)])
 
     highs = []
@@ -119,7 +102,7 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
         if b != held:
             c = product(b * rows)
             held = b
-        masks.append((b * rows << h) + int(np.argmax(within(c, bound))))
+        masks.append(b * rows * width + int(np.argmax(within(c, bound))))
     return masks[0], masks[1]
 
 
@@ -436,25 +419,47 @@ def bit_matrix(k: int) -> np.ndarray:
     return bits
 
 
+def _form_operands(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) with (left @ right)[r, a] = 1/2 b^T q b at mask b = (r << h) + a.
+
+    q is symmetric k x k, k >= 1; A is the low h = ceil(k / 2) bits and B the
+    rest.  Row r of left is [bb | form_B | 1] and column a of right is
+    [q_BA ba | 1 | form_A], with the halves' forms from subset_gamma and both
+    halves' bits from bit_matrix(h).  The cross term is built in
+    _CHUNK_ENTRIES pieces.
+    """
+    k = len(q)
+    h = (k + 1) // 2
+    kb = k - h
+    ba = bit_matrix(h)
+    left = np.empty((1 << kb, kb + 2))
+    left[:, :kb] = ba[: 1 << kb, :kb]
+    left[:, kb] = subset_gamma(q[h:, h:])
+    left[:, kb + 1] = 1.0
+    right = np.empty((kb + 2, 1 << h))
+    step = _CHUNK_ENTRIES // h
+    for start in range(0, 1 << h, step):
+        np.matmul(q[h:, :h], ba[start : start + step].T, out=right[:kb, start : start + step])
+    right[kb] = 1.0
+    right[kb + 1] = subset_gamma(q[:h, :h])
+    return left, right
+
+
 def subset_gamma(q: np.ndarray) -> np.ndarray:
     """1/2 b(m)^T q b(m) for every subset mask m of a symmetric k x k block (bit p <-> row p).
 
     With a zero diagonal this is the gamma weight of each mask; a diagonal
-    entry 2t adds t to every mask holding its row.  Above 10 bits the table
-    doubles per bit p, gam[m + 2^p] = gam[m] + into[m, p] + q[p, p] / 2, where
-    into[m, r] is the weight from mask m into row r, kept for r >= p only, so
-    memory stays O(2^k).
+    entry 2t adds t to every mask holding its row.  Up to 10 bits the table is
+    one bit_matrix product; above, it is _form_operands' product, written
+    into the table in _BLOCK_ENTRIES blocks, so memory stays O(2^k).
     """
     k = len(q)
     if k <= _PRODUCT_BITS:
         bits = bit_matrix(k)
         return 0.5 * np.einsum("mk,mk->m", bits @ q, bits)
-    low = _PRODUCT_BITS
-    gam = np.empty(1 << k)
-    gam[: 1 << low] = subset_gamma(q[:low, :low])
-    into = bit_matrix(low) @ q[:low, low:]
-    for p in range(low, k):
-        h = 1 << p
-        gam[h : 2 * h] = gam[:h] + into[:, 0] + 0.5 * q[p, p]
-        into = np.concatenate([into[:, 1:], into[:, 1:] + q[p, p + 1 :]])
-    return gam
+    left, right = _form_operands(q)
+    gam = np.empty((len(left), right.shape[1]))
+    rows = max(1, _BLOCK_ENTRIES // right.shape[1])
+    for start in range(0, len(left), rows):
+        np.matmul(left[start : start + rows], right, out=gam[start : start + rows])
+    return gam.ravel()

@@ -167,7 +167,9 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
     simplex of bilingap.simplex.  Both sides start from one staircase tableau
     built in closed form (_staircase_start), and each side's value is
     certified primal feasible and optimal by weak duality
-    (InvariantViolationError if the certificate fails).  Capped at
+    (InvariantViolationError if the certificate fails).  With f = 1 or 2
+    fractional coordinates the values are closed forms instead, which the
+    simplex and its certificate never see.  Capped at
     f <= LP_SIZE_CAP fractional coordinates, which size the LP; n does not.
     """
     _check_point(g, x)

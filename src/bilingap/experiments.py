@@ -265,11 +265,11 @@ def _run_gap_sweep(
 
     Threshold sqrt(n)/4.
     """
-    jobs = [
+    jobs = (
         (n, cfg.seed_base + t)
         for n in range(cfg.n_min, cfg.n_max + 1)
         for t in range(cfg.num_instances)
-    ]
+    )
 
     def worker(job):
         n, seed = job
@@ -360,9 +360,9 @@ def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], 
     pm1/real alternating.  The bound_ratio column reports how far above the
     guaranteed total/(600 sqrt(n)) bound the found cut landed.
     """
-    jobs = [
+    jobs = (
         (seed, n, "pm1" if t % 2 == 0 else "real") for t, seed, n in _seeded_instances(cfg)
-    ]
+    )
 
     def worker(job):
         seed, n, family = job

@@ -425,12 +425,28 @@ def dumps_json(g: SignedWeightedGraph) -> str:
     return json.dumps(to_json_dict(g))
 
 
-def loads_json(text: str) -> SignedWeightedGraph:
+def _read_json(text: str, what: str):
+    """The one JSON reader for instance and config files: malformed JSON, nesting
+    too deep to parse and a repeated object key are each an InputError."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"invalid {what} JSON: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid instance JSON: {exc}") from None
-    return from_json_dict(data)
+        raise InputError(f"invalid {what} JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"invalid {what} JSON: nested too deep to parse") from None
+
+
+def loads_json(text: str) -> SignedWeightedGraph:
+    return from_json_dict(_read_json(text, "instance"))
 
 
 def dumps_text(g: SignedWeightedGraph) -> str:

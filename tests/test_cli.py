@@ -522,6 +522,24 @@ class TestErrorPaths:
         code, _, _ = run_cli(capsys, "eval", "--instance", path)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (("eval", "--instance"), "[" * 100_000, "nested too deep"),
+            (("experiment", "--config"), "[" * 100_000, "nested too deep"),
+            (("eval", "--instance"), '{"n": 3, "edges": [[1, 2, 1]], "n": 4}', "duplicate key 'n'"),
+        ],
+        ids=["nested_instance", "nested_config", "duplicate_n"],
+    )
+    def test_strict_json_files_exit_1(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "strict.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
+
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")

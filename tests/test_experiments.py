@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import tracemalloc
 
 import pytest
 
@@ -334,6 +335,26 @@ class TestRecordLoop:
         records, _ = run_experiment(cfg)
         assert len(idents) == len(records) > 2
         assert set(idents) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("kind", ["ratio_sweep", "cutfinder_stress"])
+    def test_jobs_stream_to_the_first_worker_call(self, kind, monkeypatch):
+        """No whole job list is built up front: the first record starts in little memory."""
+
+        class FirstCall(Exception):
+            pass
+
+        def first_call(n, seed):
+            raise FirstCall(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(experiments, "random_pm1_complete", first_call)
+        cfg = ExperimentConfig(kind=kind, n_min=2, n_max=24, num_instances=20_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstCall) as raised:
+                run_experiment(cfg)
+        finally:
+            tracemalloc.stop()
+        assert raised.value.args[0] < 0.5 * 2**20
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_output_closed_when_a_worker_raises(self, fmt, monkeypatch, tmp_path):
