@@ -285,10 +285,9 @@ def dual_certificate(
     w_sub = w[np.ix_(verts, verts)]
     slack = subset_gamma(w_sub - np.diag([2.0 * z[v] for v in verts]))
     tol = _SLACK * float(np.abs(w_sub).sum()) / 2  # |w_sub| counts each edge twice
-    if side == "lower_envelope":
-        bad = np.flatnonzero(y > slack + tol)
-    else:
-        bad = np.flatnonzero(y < slack - tol)
+    lower = side == "lower_envelope"
+    slack += tol if lower else -tol  # in place: the doubles of slack +/- tol, one 2^k table
+    bad = np.flatnonzero(y > slack if lower else y < slack)
     if bad.size:
         m = int(bad[0])
         violating = VertexSubset.from_members(verts[p] for p in range(k) if m >> p & 1)

@@ -2,9 +2,10 @@
 
 The projected relaxation equals the convex hull of the bilinear function's
 graph exactly when every cycle has an even number of positive edges and an
-even number of negative edges.  Both parities are decided in linear time by
-constraint-propagation two-colorings; a failed propagation yields an explicit
-simple cycle with the offending odd parity.
+even number of negative edges, i.e. when the vertices take 2-bit labels that
+every negative edge flips in bit 0 and every positive edge in bit 1.  One BFS
+labeling decides both parities in linear time; the first edge that breaks a
+bit closes an explicit simple cycle with the offending odd parity.
 """
 
 from __future__ import annotations
@@ -62,38 +63,6 @@ def _coloring_json(coloring: dict[int, int] | None) -> dict[str, int] | None:
     return None if coloring is None else {str(v): c for v, c in sorted(coloring.items())}
 
 
-def _propagate(g: SignedWeightedGraph, cross_negative: bool):
-    """Two-coloring where edges of one sign must cross and the other must not.
-
-    cross_negative True: negative edges bichromatic, positive monochromatic.
-    Returns (coloring, None) on success or (None, ViolatingCycle) on conflict.
-    BFS from ascending roots with ascending neighbor order, so the outcome is
-    deterministic and conflict cycles are reproducible.
-    """
-    n = g.n
-    adj = g.adjacency
-    color: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    for root in range(1, n + 1):
-        if root in color:
-            continue
-        color[root] = 0
-        parent[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, w in adj[u]:
-                must_differ = (w < 0) if cross_negative else (w > 0)
-                want = color[u] ^ int(must_differ)
-                if v not in color:
-                    color[v] = want
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] != want:
-                    return None, _extract_cycle(g, parent, u, v)
-    return color, None
-
-
 def _extract_cycle(
     g: SignedWeightedGraph, parent: dict[int, int], u: int, v: int
 ) -> ViolatingCycle:
@@ -122,26 +91,52 @@ def _extract_cycle(
 def check_hull_exact(g: SignedWeightedGraph) -> HullExactness:
     """Decide hull exactness by the even-positive/even-negative cycle criterion.
 
-    Runs both parity colorings in O(n + |edges|).  If either fails the result
-    carries a simple violating cycle from the first failing side (odd negative
-    count if the positive coloring failed, else odd positive count).
+    One BFS in O(n + |edges|), roots and neighbors ascending, labels each
+    vertex with two bits: bit 0 is the positive coloring and bit 1 the
+    negative one, None where some edge breaks it.  The violating cycle closes
+    the first edge in BFS order that breaks bit 0 (odd negative count), else
+    bit 1 (odd positive count), over the BFS tree.
     """
-    pos_coloring, pos_conflict = _propagate(g, cross_negative=True)
-    neg_coloring, neg_conflict = _propagate(g, cross_negative=False)
-    exact = pos_conflict is None and neg_conflict is None
-    return HullExactness(
-        exact=exact,
-        positive_coloring=pos_coloring,
-        negative_coloring=neg_coloring,
-        violating_cycle=pos_conflict or neg_conflict,
+    adj = g.adjacency
+    label: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    first: dict[int, tuple[int, int]] = {}  # bit -> first edge (u, v) that breaks it
+    for root in range(1, g.n + 1):
+        if root in label:
+            continue
+        label[root] = 0
+        parent[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, w in adj[u]:
+                want = label[u] ^ (1 if w < 0 else 2)
+                if v not in label:
+                    label[v] = want
+                    parent[v] = u
+                    queue.append(v)
+                elif label[v] != want:
+                    for bit in (0, 1):
+                        if (label[v] ^ want) >> bit & 1:
+                            first.setdefault(bit, (u, v))
+    pos_coloring, neg_coloring = (
+        None if bit in first else {v: x >> bit & 1 for v, x in label.items()} for bit in (0, 1)
     )
+    edge = first.get(0) or first.get(1)
+    cycle = None if edge is None else _extract_cycle(g, parent, *edge)
+    return HullExactness(not first, pos_coloring, neg_coloring, cycle)
 
 
 def verify_exactness_numerically(g: SignedWeightedGraph, x: VertexSubset) -> bool:
     """Check mu_plus(X) - mu_minus(X) = |gamma|(X) within _SLACK * total |weight| by enumeration.
 
     Exactness of the hull is equivalent to this identity holding for every
-    subset; this verifies one subset (enumeration cap 26 vertices).
+    subset; this verifies one subset (enumeration cap 26 vertices).  X = V
+    alone decides exactness: if cuts u1 and u2 attain cut(u1) - cut(u2) =
+    |gamma|(V), every edge term w_e (cut_e(u1) - cut_e(u2)) is at its bound
+    |w_e|, so their restrictions to any X attain |gamma|(X) there too.  Within
+    the slack only: if deleting edges of total |weight| at most _SLACK * total
+    / 2 makes the graph exact, it reads exact here.
     """
     mu_plus, mu_minus = cut_range_bruteforce(g, x)
     return abs((mu_plus - mu_minus) - gamma_abs_weight(g, x)) <= _SLACK * g.total_abs_weight

@@ -461,6 +461,21 @@ class TestSubsetGamma:
         with pytest.raises(CertificateError):
             dual_certificate(g, g.vertices, mu_minus + 1.0, "upper_envelope")
 
+    def test_k20_certificate_keeps_one_table(self):
+        # the 8 MiB slack table is shifted by the tolerance in place; a second
+        # table for slack + tol peaked at 17 MiB
+        g = random_pm1_complete(20, seed=20)
+        (mu_plus, _), (mu_minus, _) = extreme_cuts(g, g.vertices)
+        dual_certificate(g, g.vertices, mu_plus, "lower_envelope")  # warm the bit tables
+        for mu, side in ((mu_plus, "lower_envelope"), (mu_minus, "upper_envelope")):
+            tracemalloc.start()
+            try:
+                dual_certificate(g, g.vertices, mu, side)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * 2**20, side
+
 
 def _subset_extremes_reference(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Element-wise submask loop that the vectorized all-subset tables replace."""

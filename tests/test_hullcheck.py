@@ -2,14 +2,23 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilingap import experiments
 from bilingap.cuts import all_subset_cut_extremes, all_subset_gamma
+from bilingap.experiments import ExperimentConfig
 from bilingap.graph import SignedWeightedGraph, VertexSubset
-from bilingap.hullcheck import check_hull_exact, verify_exactness_numerically
+from bilingap.hullcheck import (
+    HullExactness,
+    _extract_cycle,
+    check_hull_exact,
+    verify_exactness_numerically,
+)
 from bilingap.instances import signed_cycle, signed_path
 
 from conftest import random_int_graph
@@ -204,3 +213,93 @@ class TestNumericVerification:
             assert not verify_exactness_numerically(
                 g, VertexSubset.from_members(support)
             )
+
+
+def _propagate_reference(g, cross_negative):
+    """One sign's constraint-propagation two-coloring, one BFS per sign.
+
+    cross_negative True: negative edges bichromatic, positive monochromatic.
+    Returns (coloring, None), or (None, cycle) at the first conflicting edge.
+    """
+    color, parent = {}, {}
+    for root in range(1, g.n + 1):
+        if root in color:
+            continue
+        color[root] = 0
+        parent[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, w in g.adjacency[u]:
+                want = color[u] ^ int((w < 0) if cross_negative else (w > 0))
+                if v not in color:
+                    color[v] = want
+                    parent[v] = u
+                    queue.append(v)
+                elif color[v] != want:
+                    return None, _extract_cycle(g, parent, u, v)
+    return color, None
+
+
+def _two_pass_reference(g):
+    pos_coloring, pos_conflict = _propagate_reference(g, cross_negative=True)
+    neg_coloring, neg_conflict = _propagate_reference(g, cross_negative=False)
+    return HullExactness(
+        exact=pos_conflict is None and neg_conflict is None,
+        positive_coloring=pos_coloring,
+        negative_coloring=neg_coloring,
+        violating_cycle=pos_conflict or neg_conflict,
+    )
+
+
+def _sparse_graph(seed):
+    """Seeded signed graph on 1..39 vertices; every third one split into three components."""
+    rnd = random.Random(seed)
+    n = rnd.randint(1, 39)
+    density = rnd.uniform(0.05, 0.8)
+    split = seed % 3 == 0
+    edges = tuple(
+        (i, j, rnd.choice((1.0, -1.0)) * rnd.randint(1, 4))
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if rnd.random() < density and (not split or 3 * (i - 1) // n == 3 * (j - 1) // n)
+    )
+    return SignedWeightedGraph(n, edges)
+
+
+class TestOneLabelingMatchesTwoPasses:
+    """check_hull_exact's one BFS against the two per-sign propagations it replaced."""
+
+    @staticmethod
+    def assert_same(g):
+        got, want = check_hull_exact(g), _two_pass_reference(g)
+        assert got == want  # colorings, cycle vertices and edge counts
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        return got.positive_coloring is not None, got.negative_coloring is not None
+
+    def test_census_pool(self):
+        # every cycle and path sign pattern for n = 2..8, then seeded random graphs
+        cfg = ExperimentConfig(kind="hull_census", n_min=2, n_max=8, num_instances=20)
+        outcomes = {self.assert_same(g) for _, g in experiments._census_instances(cfg)}
+        assert outcomes == set(itertools.product((True, False), repeat=2))
+
+    def test_sparse_and_disconnected_graphs(self):
+        outcomes = {self.assert_same(_sparse_graph(seed)) for seed in range(600)}
+        assert outcomes == set(itertools.product((True, False), repeat=2))
+
+
+class TestWholeSetIdentity:
+    """The identity on X = V alone decides exactness (see verify_exactness_numerically)."""
+
+    def test_equals_the_parity_decision_and_the_all_subset_numerics(self):
+        exact_count = 0
+        for n in range(2, 21):
+            for seed in range(110):
+                prob = 0.6 if seed % 5 == 0 else min(1.0, (0.5 + seed % 4) / n)
+                g = random_int_graph(1000 * n + seed, n, edge_prob=prob)
+                whole = verify_exactness_numerically(g, g.vertices)
+                assert whole == check_hull_exact(g).exact, (n, seed)
+                if n <= 10:
+                    assert whole == experiments._numeric_exact(g), (n, seed)
+                exact_count += whole
+        assert 0 < exact_count < 19 * 110

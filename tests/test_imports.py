@@ -1,18 +1,22 @@
 """Every name a bilingap module imports is used, and every private name is read.
 
 No linter ships with the project, so these are the unused-import and the
-dead-private-name checks.  Each module under src/bilingap is parsed with ast.
-An imported name counts as used when the module reads it (a bare name, or
-the base of an attribute chain) or lists it in __all__.  A module-level
-private function, class or constant (one leading underscore) counts as read
-when some module of the package reads it, as a bare name or as an attribute.
+dead-private-name checks, plus the one-tolerance and read-only-cache lints.
+Each module under src/bilingap is parsed with ast.  An imported name counts
+as used when the module reads it (a bare name, or the base of an attribute
+chain) or lists it in __all__.  A module-level private function, class or
+constant (one leading underscore) counts as read when some module of the
+package reads it, as a bare name or as an attribute.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bilingap"
@@ -154,3 +158,67 @@ def test_the_check_sees_a_second_tolerance():
     )
     assert _small_floats(tree, slack_home=True) == [2, 3, 4]
     assert _small_floats(tree, slack_home=False) == [1, 2, 3, 4]
+
+
+# A functools.cache function hands every caller the same arrays, so one caller
+# that wrote into them would change every later call's result.  Each cached
+# function of the package is listed here with small arguments, and every array
+# it returns must be read-only.
+_CACHED_CALLS = (
+    ("cuts", "bit_matrix", (3,)),
+    ("cuts", "_build_pair_chunks", (4,)),
+    ("instances", "_pairs", (4,)),
+    ("instances", "_walk_pairs", (4, False)),
+    ("instances", "_walk_pairs", (4, True)),
+)
+
+
+def _cached_defs(tree: ast.Module) -> set[str]:
+    """Names of the functions decorated with functools.cache or functools.lru_cache."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                deco = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(deco, "attr", getattr(deco, "id", None)) in ("cache", "lru_cache"):
+                    names.add(node.name)
+    return names
+
+
+def _arrays(value):
+    """Every numpy array inside value, through tuples, lists and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays(getattr(value, field.name))
+
+
+def test_every_cache_is_listed():
+    cached = {
+        (p.stem, name)
+        for p in sorted(SRC.glob("*.py"))
+        for name in _cached_defs(ast.parse(p.read_text(), filename=str(p)))
+    }
+    assert cached == {(module, name) for module, name, _ in _CACHED_CALLS}
+
+
+@pytest.mark.parametrize("module, name, args", _CACHED_CALLS, ids=lambda v: str(v))
+def test_cached_arrays_are_read_only(module, name, args):
+    arrays = list(_arrays(getattr(importlib.import_module(f"bilingap.{module}"), name)(*args)))
+    assert arrays, f"{module}.{name}{args} returned no array"
+    writable = [i for i, a in enumerate(arrays) if a.flags.writeable]
+    assert not writable, f"{module}.{name}{args}: writable arrays at {writable}"
+
+
+def test_the_check_sees_a_cached_function():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(n): ...\n@cache\ndef b(n): ...\n"
+        "@functools.lru_cache(maxsize=4)\ndef c(n): ...\n@lru_cache\ndef d(n): ...\n"
+        "@staticmethod\ndef e(n): ...\ndef f(n): ...\n"
+    )
+    assert _cached_defs(tree) == {"a", "b", "c", "d"}
