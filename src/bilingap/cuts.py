@@ -6,7 +6,10 @@ witnesses; max/min_cut_bruteforce and cut_range_bruteforce are views of it.
 A cut is the 0/1 quadratic form b^T (diag(d) - W) b, d the row sums of W, and
 subset_gamma gives a symmetric block's form on every mask.  The enumeration,
 and subset_gamma above 10 bits, compute the form as one meet-in-the-middle
-matrix product whose operands come from one builder, _form_operands.
+matrix product whose operands come from one builder, _form_operands.  The
+enumeration multiplies in float32 when the weights are integers and small
+enough that every partial sum is an integer float32 holds exactly, so its
+witnesses are those of the float64 product; other weights stay in float64.
 find_large_cut returns a cut of the whole graph whose absolute signed weight
 is at least total_abs_weight / (600 sqrt(n)), by sampling subsets of one side
 of a half-weight partition until the sampled aggregate discrepancy is large
@@ -29,10 +32,15 @@ from .graph import (
 from .rng import bits, draws
 
 ENUMERATION_CAP = 26
-# Max float64 entries per block of a meet-in-the-middle product: 256 KiB, so
-# the cut scan's one block buffer stays in one core's L2 while it is written
-# and scanned twice, and each product runs on one OpenBLAS thread.
-_BLOCK_ENTRIES = 1 << 15
+# Max bytes per block of a meet-in-the-middle product, 2^15 float64 or 2^16
+# float32 entries, so the cut scan's one block buffer stays in one core's L2
+# while it is written and scanned twice, and each product runs on one OpenBLAS
+# thread (float32 blocks of 512 KiB ran on two, with stalls).
+_BLOCK_BYTES = 1 << 18
+# Max total |weight| T of an integer-weight subgraph whose cuts are scanned in
+# float32: each partial sum of a product entry is an integer of size <= 8 T,
+# and float32 holds every integer up to 2^24.
+_FLOAT32_TOTAL = 1 << 21
 # Max float64 entries per piece of the cross term Q_BA ba (32 KiB): products
 # small enough that OpenBLAS runs each on one thread.
 _CHUNK_ENTRIES = 1 << 12
@@ -45,6 +53,11 @@ def _normalize_side(mask: int, full: int) -> int:
     if a != b:
         return mask if a < b else comp
     return min(mask, comp)
+
+
+def _scan_dtype(g: SignedWeightedGraph, total: float) -> type:
+    """float32 for integer weights whose subgraph total is at most _FLOAT32_TOTAL, else float64."""
+    return np.float32 if g.integer_weights and total <= _FLOAT32_TOTAL else np.float64
 
 
 def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
@@ -65,6 +78,15 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     one reused buffer, scanned for its max and min; then only the first block
     that reaches a witness bound is made again, once per side, unless the
     buffer still holds it.
+
+    With integer weights and T <= _FLOAT32_TOTAL the product runs in float32
+    and is exact.  Every operand entry is an integer (bits, 1, the halves'
+    forms of Q and Q_BA b_A), and a partial sum inside one product entry adds
+    a subset of its terms, so it is at most sum |Q| <= 8 T <= 2^24 in size,
+    whatever the summation order or FMA use of the BLAS.  The cuts are then
+    the integers of the float64 product, _SLACK * T < 1 makes "within the
+    slack" mean "equal to the extreme", and a bound rounded to float32 for
+    the comparison stays within 1/2 of the extreme: the witnesses are the same.
     """
     verts = sorted(x.members)
     k = len(verts)
@@ -77,11 +99,16 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     w_sub = g.weight_matrix.take(verts, 0).take(verts, 1)
     q = -2.0 * w_sub
     q.flat[:: k + 1] = 2.0 * w_sub.sum(1)  # Q = 2 (diag(d) - W), as w_sub's diagonal is 0
+    total = float(np.abs(w_sub).sum()) / 2  # |w_sub| counts each edge twice
+    dtype = _scan_dtype(g, total)
     left, right = _form_operands(q[: k - 1, : k - 1])
-    slack = _SLACK * float(np.abs(w_sub).sum()) / 2  # |w_sub| counts each edge twice
+    left = left.astype(dtype, copy=False)  # one cast at a time keeps the peak at the float64 one
+    right = right.astype(dtype, copy=False)
+    slack = _SLACK * total
     half, width = len(left), right.shape[1]
-    rows = max(1, _BLOCK_ENTRIES // width)
-    block = np.empty((min(rows, half), width))  # the one buffer; a short last block uses its top
+    rows = max(1, _BLOCK_BYTES // (width * right.itemsize))
+    # the one buffer; a short last block uses its top
+    block = np.empty((min(rows, half), width), dtype)
 
     def product(start: int) -> np.ndarray:
         """Cuts of the block of rows from start, written into the buffer."""
@@ -450,8 +477,8 @@ def subset_gamma(q: np.ndarray) -> np.ndarray:
 
     With a zero diagonal this is the gamma weight of each mask; a diagonal
     entry 2t adds t to every mask holding its row.  Up to 10 bits the table is
-    one bit_matrix product; above, it is _form_operands' product, written
-    into the table in _BLOCK_ENTRIES blocks, so memory stays O(2^k).
+    one bit_matrix product; above, it is _form_operands' float64 product,
+    written into the table in _BLOCK_BYTES blocks, so memory stays O(2^k).
     """
     k = len(q)
     if k <= _PRODUCT_BITS:
@@ -459,7 +486,7 @@ def subset_gamma(q: np.ndarray) -> np.ndarray:
         return 0.5 * np.einsum("mk,mk->m", bits @ q, bits)
     left, right = _form_operands(q)
     gam = np.empty((len(left), right.shape[1]))
-    rows = max(1, _BLOCK_ENTRIES // right.shape[1])
+    rows = max(1, _BLOCK_BYTES // (right.shape[1] * right.itemsize))
     for start in range(0, len(left), rows):
         np.matmul(left[start : start + rows], right, out=gam[start : start + rows])
     return gam.ravel()

@@ -307,6 +307,12 @@ class SignedWeightedGraph:
         return tuple(zip(((1 << i - 1) | (1 << j - 1)).tolist(), w.tolist()))
 
     @cached_property
+    def integer_weights(self) -> bool:
+        """Whether every edge weight is an integer (true with no edges)."""
+        w = self._columns[2]
+        return bool(np.array_equal(w, np.trunc(w)))
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """adjacency[v] lists (neighbor, weight) pairs, neighbors ascending; index 0 unused."""
         # edges run in (i, j) order, so each list fills in ascending order

@@ -149,15 +149,24 @@ def _first_attaining_reference(g: SignedWeightedGraph, x: VertexSubset) -> tuple
 
 
 _WEIGHT_KINDS = ("pm1", "real", "sparse", "zero")
-# 1 entry forces one B row per block, the max(1, ...) clamp; 3 << 9 is no power
-# of two, so the last block is shorter than the reused buffers
+# integer weights, scanned in float32: "at_bound" weights total _FLOAT32_TOTAL
+_INTEGER_KINDS = ("pm1", "int_sparse", "zero", "at_bound")
+# 1 byte forces one B row per block, the max(1, ...) clamp; 3 << 12 bytes is no
+# power of two, so the last block is shorter than the reused buffer.  A float32
+# bound of -1 scans integer weights in float64 too.
 _BLOCK_SIZES = pytest.mark.parametrize(
-    "block_entries", [cuts._BLOCK_ENTRIES, 1, 3 << 9], ids=["default", "one_row", "short_last"]
+    "block_bytes, float32_total",
+    [(b, t) for t in (cuts._FLOAT32_TOTAL, -1) for b in (cuts._BLOCK_BYTES, 1, 3 << 12)],
+    ids=["default", "one_row", "short_last", "default_f64", "one_row_f64", "short_last_f64"],
 )
 
 
 def _kernel_graph(seed: int, k: int, kind: str) -> SignedWeightedGraph:
-    """Graph on k vertices: +/-1, uniform real or sparse real weights, or no edges."""
+    """Graph on k vertices with the weights of kind (see _WEIGHT_KINDS and _INTEGER_KINDS).
+
+    +/-1, uniform real, sparse real or sparse integer weights, no edges, or
+    integer weights whose total |weight| is exactly _FLOAT32_TOTAL.
+    """
     rnd = random.Random(seed)
     edges = []
     for i in range(1, k + 1):
@@ -168,6 +177,14 @@ def _kernel_graph(seed: int, k: int, kind: str) -> SignedWeightedGraph:
                 edges.append((i, j, rnd.uniform(-3.0, 3.0) or 1.0))
             elif kind == "sparse" and rnd.random() < 0.2:
                 edges.append((i, j, rnd.uniform(-1e3, 1e3) or 1.0))
+            elif kind == "int_sparse" and rnd.random() < 0.2:
+                edges.append((i, j, float(rnd.choice((-1, 1)) * rnd.randint(1, 1000))))
+            elif kind == "at_bound":
+                edges.append((i, j, float(rnd.randint(1, cuts._FLOAT32_TOTAL // k**2))))
+    if kind == "at_bound":  # the last edge tops the total up to the bound
+        i, j, _ = edges.pop()
+        edges.append((i, j, cuts._FLOAT32_TOTAL - sum(w for _, _, w in edges)))
+        edges = [(i, j, rnd.choice((-w, w))) for i, j, w in edges]
     return SignedWeightedGraph(k, tuple(edges))
 
 
@@ -175,23 +192,60 @@ class TestEnumerationKernel:
     """The half walk picks the same witnesses within the slack as the full walk."""
 
     @_BLOCK_SIZES
-    @given(seed=st.integers(0, 10**6), k=st.integers(2, 14), kind=st.sampled_from(_WEIGHT_KINDS))
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.integers(2, 14),
+        kind=st.sampled_from(_WEIGHT_KINDS + ("int_sparse", "at_bound")),
+    )
     @example(seed=0, k=2, kind="pm1")
     @example(seed=1, k=2, kind="real")
     @example(seed=2, k=3, kind="real")
     @example(seed=3, k=3, kind="zero")
+    @example(seed=4, k=14, kind="at_bound")
     @settings(max_examples=60, deadline=None)
-    def test_matches_full_walk(self, block_entries, seed, k, kind):
+    def test_matches_full_walk(self, block_bytes, float32_total, seed, k, kind):
         g = _kernel_graph(seed, k, kind)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cuts, "_BLOCK_ENTRIES", block_entries)
+            mp.setattr(cuts, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(cuts, "_FLOAT32_TOTAL", float32_total)
             assert cuts._cut_extremes(g, g.vertices) == _cut_extremes_reference(g, g.vertices)
 
     @_BLOCK_SIZES
-    def test_hadamard16_matches_full_walk(self, monkeypatch, block_entries):
-        monkeypatch.setattr(cuts, "_BLOCK_ENTRIES", block_entries)
+    def test_hadamard16_matches_full_walk(self, monkeypatch, block_bytes, float32_total):
+        monkeypatch.setattr(cuts, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(cuts, "_FLOAT32_TOTAL", float32_total)
         h = hadamard_instance(16)
         assert cuts._cut_extremes(h, h.vertices) == _cut_extremes_reference(h, h.vertices)
+
+    @pytest.mark.parametrize("k", range(2, ENUMERATION_CAP + 1))
+    def test_float32_scan_matches_float64_scan(self, monkeypatch, k):
+        graphs = [_kernel_graph(k, k, kind) for kind in _INTEGER_KINDS]
+        graphs += [hadamard_instance(k), random_pm1_complete(k, seed=k)]
+        assert graphs[3].total_abs_weight == cuts._FLOAT32_TOTAL  # "at_bound"
+        for g in graphs:
+            assert cuts._scan_dtype(g, g.total_abs_weight) is np.float32
+        got = [cuts._cut_extremes(g, g.vertices) for g in graphs]
+        monkeypatch.setattr(cuts, "_FLOAT32_TOTAL", -1)
+        assert got == [cuts._cut_extremes(g, g.vertices) for g in graphs]
+
+    def test_float32_guard_keeps_large_integer_totals_exact(self):
+        # 8 T > 2^24.  In float32 the form of {1}, 2^24 + 3, rounds to 2^24 + 4,
+        # the maximum, which {2} attains: the max witness would move to {1}.
+        g = SignedWeightedGraph(3, ((1, 2, 2.0**24), (1, 3, 3.0), (2, 3, 4.0)))
+        assert g.integer_weights and g.total_abs_weight > cuts._FLOAT32_TOTAL
+        assert cuts._cut_extremes(g, g.vertices) == _cut_extremes_reference(g, g.vertices) == (2, 0)
+        (mx, cut), _ = extreme_cuts(g, g.vertices)
+        assert (mx, cut.side) == (2.0**24 + 4, VertexSubset.of(2))
+        assert cuts._scan_dtype(g, g.total_abs_weight) is np.float64
+
+    @pytest.mark.parametrize(
+        "weights", [(0.5, -1.5, 2.0), (1.0, 1.0, 1e-3), (3.0, -2.0, 2.0**-20)], ids=str
+    )
+    def test_non_integer_weights_scan_in_float64(self, weights):
+        g = SignedWeightedGraph(3, tuple(zip((1, 1, 2), (2, 3, 3), weights)))
+        assert not g.integer_weights
+        assert cuts._scan_dtype(g, g.total_abs_weight) is np.float64
+        assert cuts._cut_extremes(g, g.vertices) == _cut_extremes_reference(g, g.vertices)
 
     def test_subset_ground_set_matches_full_walk(self):
         g = _kernel_graph(99, 12, "real")
@@ -436,6 +490,13 @@ class TestSubsetGamma:
         q = _symmetric(np.random.default_rng(100 + k), k, integer=False)
         bits = cuts.bit_matrix(k)
         want = 0.5 * np.einsum("mk,mk->m", bits @ q, bits)
+        assert cuts.subset_gamma(q).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [1, 3 << 12], ids=["one_row", "short_last"])
+    def test_block_sizes_give_the_same_table(self, monkeypatch, block_bytes):
+        q = _symmetric(np.random.default_rng(7), 14, integer=True)
+        want = cuts.subset_gamma(q)
+        monkeypatch.setattr(cuts, "_BLOCK_BYTES", block_bytes)
         assert cuts.subset_gamma(q).tobytes() == want.tobytes()
 
     def test_k18_memory_stays_linear_in_the_table(self):

@@ -634,6 +634,20 @@ class TestPairMasks:
         g = SignedWeightedGraph(63, ((1, 63, 2.0),))
         assert g.pair_masks == ((1 | 1 << 62, 2.0),)
 
+    @pytest.mark.parametrize(
+        "weights, integer",
+        [
+            ((), True),
+            ((5, -2.0, 1e20), True),
+            ((5.0, -2.5, 1.0), False),
+            ((1.0, 1.0, 2**-30), False),
+        ],
+    )
+    def test_integer_weights(self, weights, integer):
+        g = SignedWeightedGraph(3, tuple(zip((1, 1, 2), (2, 3, 3), weights)))
+        assert g.integer_weights is integer
+        assert SignedWeightedGraph.from_columns(3, *g._columns).integer_weights is integer
+
     @pytest.mark.parametrize("mask, members", [(0b1001, [1, 4]), (1 << 63 | 1, [1, 64])])
     def test_subset_beyond_n_rejected(self, mask, members):
         message = f"subset {members} is not contained in the vertex set 1..3"
