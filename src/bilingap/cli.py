@@ -103,7 +103,7 @@ def _cmd_gen(args) -> int:
     else:
         g = generate(args.n, args.seed if arg == "seed" else _parse_signs(args.signs))
     write_instance(g, args.out, fmt=args.format)
-    sys.stderr.write(f"wrote {args.out} (n={g.n}, {len(g.edges)} edges)\n")
+    sys.stderr.write(f"wrote {args.out} (n={g.n}, {g.num_edges} edges)\n")
     return 0
 
 

@@ -193,7 +193,6 @@ def half_weight_partition(
     tie = _SLACK * g.total_abs_weight
     abs_w = np.abs(g.weight_matrix)
     incident = np.cumsum(abs_w, axis=1)[:, -1].tolist()  # left to right, as ordered_sum adds
-    rows = abs_w.tolist()  # a zero entry (no edge) leaves to_cross unchanged
     side = [0] * (n + 1)
     to_cross = [0.0] * (n + 1)  # |weight| from v to the opposite side
     move_cap = n * max(1, g.num_edges) + n + 1
@@ -205,10 +204,13 @@ def half_weight_partition(
             if 2.0 * to_cross[v] < incident[v] - tie:
                 sv = side[v] = side[v] ^ 1
                 to_cross[v] = incident[v] - to_cross[v]
-                to_cross = [t - a if s == sv else t + a for t, a, s in zip(to_cross, rows[v], side)]
+                # only a moved vertex's row is read; a zero entry (no edge) changes nothing
+                row = abs_w[v].tolist()
+                to_cross = [t - a if s == sv else t + a for t, a, s in zip(to_cross, row, side)]
                 moves += 1
                 changed = True
-    left = VertexSubset.from_members(v for v in range(1, n + 1) if side[v] == side[1])
+    s1 = side[1]
+    left = VertexSubset(sum(1 << v - 1 for v in range(1, n + 1) if side[v] == s1))
     return left, g.vertices.difference(left)
 
 
@@ -258,7 +260,7 @@ def find_large_cut(
     left, right = half_weight_partition(g)
     left_verts = np.fromiter(left, np.int64)
     right_verts = np.fromiter(right, np.int64)
-    w_lr = g.weight_matrix[np.ix_(left_verts, right_verts)]
+    w_lr = g.weight_matrix.take(left_verts, 0).take(right_verts, 1)
 
     size = len(left_verts)
     best_stat = -math.inf

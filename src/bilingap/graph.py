@@ -233,7 +233,7 @@ def _column(values, name: str, floating: bool) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SignedWeightedGraph:
     """Simple undirected graph with nonzero, finite, normal float edge weights.
 
@@ -241,15 +241,18 @@ class SignedWeightedGraph:
     lexicographically.  Construction validates the whole edge list, rejects a
     total |weight| above MAX_TOTAL_ABS_WEIGHT and builds weight_matrix, the
     read-only dense symmetric (n+1, n+1) weight matrix with zero diagonal (row
-    and column 0 unused); instances are immutable afterwards.
+    and column 0 unused); instances are immutable afterwards.  The graph holds
+    its edges as numpy columns; the Python edges tuple is built from them on
+    first read, by ==, hash and repr too, and code that walks the columns
+    never builds it.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...] = ()
+    edges: tuple[tuple[int, int, float], ...]  # compared, hashed and shown; built by edges below
 
-    def __post_init__(self) -> None:
-        n = _vertex_count(self.n)
-        self._store(n, _checked_columns(n, *_edge_columns(n, self.edges)))
+    def __init__(self, n: int, edges: Iterable = ()) -> None:
+        n = _vertex_count(n)
+        self._store(n, _checked_columns(n, *_edge_columns(n, edges)))
 
     @classmethod
     def from_columns(cls, n: int, i, j, w) -> "SignedWeightedGraph":
@@ -275,7 +278,7 @@ class SignedWeightedGraph:
         return g
 
     def _store(self, n: int, columns: tuple[np.ndarray, ...] | None) -> None:
-        """Set the fields from _checked_columns' output, which the graph alone holds."""
+        """Set the attributes from _checked_columns' output, which the graph alone holds."""
         if columns is None:  # _edge_columns found no bad edge
             raise InvariantViolationError("the edge column checks rejected a list with no bad edge")
         i, j, w, matrix = columns
@@ -286,7 +289,6 @@ class SignedWeightedGraph:
         matrix.setflags(write=False)
         vars(self).update(  # what object.__setattr__ does for a frozen dataclass, in one call
             n=n,
-            edges=tuple(zip(i.tolist(), j.tolist(), w.tolist())),
             _columns=(i, j, w),  # the edges as numpy columns
             weight_matrix=matrix,
             total_abs_weight=total,  # left-to-right total of |weight| in edge order
@@ -296,9 +298,15 @@ class SignedWeightedGraph:
     def vertices(self) -> VertexSubset:
         return VertexSubset.full(self.n)
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """(i, j, weight) per edge in (i, j) order, built from the columns on first read."""
+        i, j, w = self._columns
+        return tuple(zip(i.tolist(), j.tolist(), w.tolist()))
+
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._columns[2])
 
     @cached_property
     def pair_masks(self) -> tuple[tuple[int, float], ...]:
@@ -317,7 +325,7 @@ class SignedWeightedGraph:
         """adjacency[v] lists (neighbor, weight) pairs, neighbors ascending; index 0 unused."""
         # edges run in (i, j) order, so each list fills in ascending order
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n + 1)]
-        for i, j, w in self.edges:
+        for i, j, w in zip(*(c.tolist() for c in self._columns)):
             adj[i].append((j, w))
             adj[j].append((i, w))
         return tuple(map(tuple, adj))

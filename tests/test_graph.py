@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from bilingap import graph
 from bilingap.cli import main
+from bilingap.cuts import extreme_cuts, find_large_cut, half_weight_partition
 from bilingap.envelopes import EvaluationPoint, evaluate_bilinear
 from bilingap.errors import CapacityError, InputError, InvariantViolationError
 from bilingap.graph import (
@@ -35,6 +37,16 @@ from bilingap.graph import (
     loads_text,
     read_instance,
     write_instance,
+)
+from bilingap.hullcheck import check_hull_exact
+from bilingap.instances import (
+    hadamard_instance,
+    random_pm1_bipartite,
+    random_pm1_complete,
+    random_signed_graph,
+    signed_cycle,
+    signed_path,
+    uniform_real_complete,
 )
 
 from conftest import assert_same_graph, random_int_graph, subset_weights_reference
@@ -502,6 +514,72 @@ class TestFromColumns:
             pytest.skip("long double is float64 on this platform")
         with pytest.raises(InputError, match="no wider than float64, got dtype float"):
             SignedWeightedGraph.from_columns(3, [1, 1], [2, 3], w)
+
+
+class TestLazyEdges:
+    """The edges tuple is built from the columns on first read; until then nothing holds it."""
+
+    def test_the_searches_leave_the_edge_tuple_unbuilt(self):
+        graphs = (
+            uniform_real_complete(20, seed=3),
+            random_pm1_complete(12, seed=5),
+            random_signed_graph(9, seed=2),
+            signed_cycle(5, (1, -1, 1, 1, -1)),
+            SignedWeightedGraph(6, ((5, 6, 2.0), (1, 3, -1.0))),
+        )
+        for g in graphs:
+            find_large_cut(g, rng_seed=0)
+            find_large_cut(g, rng_seed=1, trial_budget=1)
+            half_weight_partition(g)
+            check_hull_exact(g)
+            extreme_cuts(g, g.vertices)
+            assert "edges" not in vars(g), g.n
+        g = graphs[0]
+        assert g.edges is g.edges and "edges" in vars(g)  # built once, then held
+
+    def test_tuple_and_column_graphs_read_the_same(self):
+        # unsorted, with int weights: both constructors read back the canonical tuple
+        edges = ((3, 4, 2), (1, 4, 7), (1, 2, -1))
+        want = ((1, 2, -1.0), (1, 4, 7.0), (3, 4, 2.0))
+        by_tuple = SignedWeightedGraph(4, edges)
+
+        def by_columns():
+            return SignedWeightedGraph.from_columns(4, [3, 1, 1], [4, 4, 2], [2, 7, -1])
+
+        # hash, == and repr each build the tuple of a graph that has not read it yet
+        assert hash(by_columns()) == hash(by_tuple)
+        assert by_columns() == by_tuple
+        assert repr(by_columns()) == repr(by_tuple) == f"SignedWeightedGraph(n=4, edges={want!r})"
+        by_columns = by_columns()
+        for g in (by_tuple, by_columns):
+            assert g.edges == want
+            assert [type(v) for e in g.edges for v in e] == [int, int, float] * 3
+        assert by_columns != SignedWeightedGraph(5, want)
+        assert by_columns != SignedWeightedGraph(4, want[:2])
+        assert SignedWeightedGraph(n=4, edges=iter(edges)) == by_columns
+        assert dataclasses.replace(by_columns, n=5) == SignedWeightedGraph(5, want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            by_columns.edges = ()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SignedWeightedGraph(5),
+            lambda: SignedWeightedGraph(4, ((3, 4, 2), (1, 2, -1))),
+            lambda: random_pm1_complete(9, seed=1),
+            lambda: hadamard_instance(7),
+            lambda: random_pm1_bipartite(3, seed=2),
+            lambda: uniform_real_complete(8, seed=4),
+            lambda: random_signed_graph(10, seed=6),
+            lambda: signed_cycle(4, (1, -1, 1, 1)),
+            lambda: signed_path(5, (-1, 1, 1, -1)),
+        ],
+        ids=["no_edges", "tuple", "pm1_complete", "hadamard", "pm1_bipartite", "uniform_real",
+             "random_signed", "cycle", "path"],
+    )
+    def test_num_edges_counts_the_edge_tuple(self, build):
+        g = build()
+        assert g.num_edges == len(g.edges)
 
 
 def _raises(build) -> Exception:

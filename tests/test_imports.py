@@ -167,6 +167,7 @@ def test_the_check_sees_a_second_tolerance():
 _CACHED_CALLS = (
     ("cuts", "bit_matrix", (3,)),
     ("cuts", "_build_pair_chunks", (4,)),
+    ("envelopes", "_vertex_rows", (3,)),
     ("instances", "_pairs", (4,)),
     ("instances", "_walk_pairs", (4, False)),
     ("instances", "_walk_pairs", (4, True)),
