@@ -440,12 +440,21 @@ _PRODUCT_BITS = 10  # tables up to this many bits come from one bit_matrix produ
 
 
 @functools.cache
+def _mask_table(k: int) -> np.ndarray:
+    """Read-only row-major (2^k, k + 1) float table; row m is the bits of mask m, then 1.
+
+    bit_matrix(k) is its first k columns and the hull LP's [bits; 1] its
+    transpose.  Row-major keeps the sum order of a plain (2^k, k) bit_matrix.
+    """
+    table = np.ones((1 << k, k + 1))
+    table[:, :k] = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
+    table.setflags(write=False)
+    return table
+
+
 def bit_matrix(k: int) -> np.ndarray:
-    """(2^k, k) float matrix; row m holds the bits of mask m (bit p in column p)."""
-    masks = np.arange(1 << k, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(k, dtype=np.int64)[None, :]) & 1).astype(np.float64)
-    bits.setflags(write=False)
-    return bits
+    """(2^k, k) 0/1 view, bit p of mask m in row m, column p; _mask_table(k) holds the cache."""
+    return _mask_table(k)[:, :k]
 
 
 def _form_operands(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -480,7 +489,9 @@ def subset_gamma(q: np.ndarray) -> np.ndarray:
     With a zero diagonal this is the gamma weight of each mask; a diagonal
     entry 2t adds t to every mask holding its row.  Up to 10 bits the table is
     one bit_matrix product; above, it is _form_operands' float64 product,
-    written into the table in _BLOCK_BYTES blocks, so memory stays O(2^k).
+    written into the table in _BLOCK_BYTES blocks.  The blocks keep each
+    product on one OpenBLAS thread; they save no memory, as one product into
+    the table would also need only the table and the O(2^(k/2)) operands.
     """
     k = len(q)
     if k <= _PRODUCT_BITS:

@@ -12,14 +12,13 @@ For b(x) = sum a_ij x_i x_j on [0,1]^n this module computes
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .cuts import bit_matrix, cut_range_bruteforce, subset_gamma
+from .cuts import _mask_table, cut_range_bruteforce, subset_gamma
 from .errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from .graph import (
     MAX_VERTICES,
@@ -142,18 +141,6 @@ def mcgap_halfpoint(g: SignedWeightedGraph, x: EvaluationPoint) -> float:
     return 0.5 * gamma_abs_weight(g, x.fractional_support)
 
 
-@functools.cache
-def _vertex_rows(f: int) -> np.ndarray:
-    """Read-only (f + 1, 2^f) equality matrix [bit_matrix(f).T; 1] of the vertex LP.
-
-    Column m is cube vertex m: its f coordinates, then 1 for the convexity
-    row.  At f = LP_SIZE_CAP the cache keeps 17 x 2^16 floats, 8.9 MB.
-    """
-    a_mat = np.vstack([bit_matrix(f).T, np.ones(1 << f)])
-    a_mat.setflags(write=False)
-    return a_mat
-
-
 def _staircase_start(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(basis, B^-1 [A | b]) at the staircase start of the vertex LP, in closed form.
 
@@ -180,13 +167,14 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
     Coordinates that are exactly 0 or 1 force every vertex of positive weight
     to agree there (their marginal constraints pin the combination), so the LP
     is solved over the remaining fractional subcube with the dense primal
-    simplex of bilingap.simplex.  Both sides start from one staircase tableau
-    built in closed form (_staircase_start), and each side's value is
-    certified primal feasible and optimal by weak duality
-    (InvariantViolationError if the certificate fails).  With f = 1 or 2
-    fractional coordinates the values are closed forms instead, which the
-    simplex and its certificate never see.  Capped at
-    f <= LP_SIZE_CAP fractional coordinates, which size the LP; n does not.
+    simplex of bilingap.simplex.  Its equality matrix [bits; 1] is
+    _mask_table(f).T, a view of the cut kernel's cached 0/1 table.  Both sides
+    start from one staircase tableau built in closed form (_staircase_start),
+    and each side's value is certified primal feasible and optimal by weak
+    duality (InvariantViolationError if the certificate fails).  With f = 1
+    or 2 fractional coordinates the values are closed forms instead, which the
+    simplex and its certificate never see.  Capped at f <= LP_SIZE_CAP
+    fractional coordinates, which size the LP; n does not.
     """
     _check_point(g, x)
     frac = list(x.fractional_support)  # ascending
@@ -215,7 +203,7 @@ def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float
         v0 = float(lam @ c)
         vals = (v0 + t_lo * slope, v0 + t_hi * slope)
         return float(max(vals)), float(min(vals))
-    a_mat = _vertex_rows(f)
+    a_mat = _mask_table(f).T
     b_vec = np.append(xs, 1.0)
     basis, start = _staircase_start(a_mat, b_vec)
     vex, _ = solve_min(a_mat, b_vec, c, basis, start)

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cuts import all_subset_cut_extremes, all_subset_gamma, cut_range_bruteforce, find_large_cut
-from .envelopes import EvaluationPoint, gap_ratio, mcgap_halfpoint
+from .envelopes import gap_ratio
 from .errors import CapacityError, InputError
 from .graph import _SLACK, SignedWeightedGraph, ordered_sum
 from .hullcheck import check_hull_exact
@@ -247,7 +247,7 @@ def _gap_measurement(
     """Gap record fields of g at the all-half point, plus its (max, min) cut weights."""
     mu_plus, mu_minus = cut_range_bruteforce(g, g.vertices)
     mcgap, chgap, ratio, _ = gap_ratio(
-        mcgap_halfpoint(g, EvaluationPoint.all_half(g.n)),
+        0.5 * g.total_abs_weight,  # mcgap_halfpoint at the all-half point, the same double
         0.5 * (mu_plus - mu_minus),
         g.total_abs_weight,
     )

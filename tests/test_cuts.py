@@ -275,7 +275,7 @@ class TestEnumerationKernel:
 
     def test_k24_first_call_keeps_little_cached(self):
         # a fresh interpreter, so no table is cached yet; the kernel keeps
-        # bit_matrix(12) (384 KiB) and its halves' bit_matrix(6) and (5)
+        # _mask_table(12) (416 KiB) and its halves' _mask_table(6) and (5)
         # (5 KiB), and one more 12-bit table would pass the bound
         script = (
             "import tracemalloc\n"

@@ -3,13 +3,18 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bilingap
 from bilingap.envelopes import (
     DualCertificate,
     EvaluationPoint,
@@ -219,6 +224,36 @@ class TestHullLp:
         # The start tableau is built in closed form; the only solves are the
         # dual solve B^T pi = c_B of each side's certificate.
         assert calls == [((6, 6), (6,)), ((6, 6), (6,))]
+
+    def test_f16_lp_keeps_one_cached_table(self):
+        # a fresh interpreter, so no table is cached yet; the LP's equality
+        # matrix is a view of the 8.5 MiB mask table that bit_matrix(16) also
+        # views, where a second cached [bits; 1] copy held 16.5 MiB in all
+        script = (
+            "import random, tracemalloc\n"
+            "import numpy as np\n"
+            "from bilingap import cuts, envelopes\n"
+            "from bilingap.instances import random_pm1_complete\n"
+            "g = random_pm1_complete(16, 1)\n"
+            "rnd = random.Random(16)\n"
+            "x = envelopes.EvaluationPoint([round(rnd.uniform(0.02, 0.98), 3) for _ in range(16)])\n"
+            "seen = []\n"
+            "solve_min = envelopes.solve_min\n"
+            "envelopes.solve_min = lambda a, *rest: seen.append(a) or solve_min(a, *rest)\n"
+            "tracemalloc.start()\n"
+            "envelopes.hull_envelopes_lp(g, x)\n"
+            "size = tracemalloc.get_traced_memory()[0]\n"
+            "print(size, all(np.shares_memory(cuts.bit_matrix(16), a) for a in seen), len(seen))\n"
+        )
+        src = str(Path(bilingap.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        size, shared, solves = out.stdout.split()
+        assert (shared, solves) == ("True", "2")
+        assert int(size) < 10 * 2**20
 
     def test_size_cap(self):
         g = SignedWeightedGraph(17, ((1, 2, 1.0),))

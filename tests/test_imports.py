@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bilingap import cuts
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "bilingap"
 
 
@@ -165,9 +167,8 @@ def test_the_check_sees_a_second_tolerance():
 # function of the package is listed here with small arguments, and every array
 # it returns must be read-only.
 _CACHED_CALLS = (
-    ("cuts", "bit_matrix", (3,)),
     ("cuts", "_build_pair_chunks", (4,)),
-    ("envelopes", "_vertex_rows", (3,)),
+    ("cuts", "_mask_table", (3,)),
     ("instances", "_pairs", (4,)),
     ("instances", "_walk_pairs", (4, False)),
     ("instances", "_walk_pairs", (4, True)),
@@ -223,3 +224,11 @@ def test_the_check_sees_a_cached_function():
         "@staticmethod\ndef e(n): ...\ndef f(n): ...\n"
     )
     assert _cached_defs(tree) == {"a", "b", "c", "d"}
+
+
+def test_mask_table_views_are_read_only():
+    # bit_matrix and the hull LP's [bits; 1] are not cached themselves but are
+    # views of the cached 0/1 table, so they must not be writable either
+    table = cuts._mask_table(3)
+    for view in (cuts.bit_matrix(3), table.T):
+        assert view.base is table and not view.flags.writeable
