@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError, InvariantViolationError
+from .errors import CapacityError, InvariantViolationError
 from .graph import (
-    _SLACK, Cut, SignedWeightedGraph, VertexSubset, _check_subset, _is_int, column_sum, cut_weight
+    _SLACK, Cut, SignedWeightedGraph, VertexSubset, _check_subset, _int_arg, column_sum, cut_weight
 )
 from .rng import bits, draws
 
@@ -249,8 +249,7 @@ def find_large_cut(
     still resolved, and for n <= 26 an exact enumeration fallback is used
     instead.
     """
-    if not _is_int(trial_budget) or trial_budget < 1:
-        raise InputError(f"trial budget must be an integer >= 1, got {trial_budget!r}")
+    trial_budget = _int_arg(trial_budget, "trial budget", 1)
     n = g.n
     total = g.total_abs_weight
     slack = _SLACK * total
@@ -258,8 +257,9 @@ def find_large_cut(
     stat_threshold = total / (200.0 * math.sqrt(n))
     case_threshold = total / (1200.0 * math.sqrt(n))
     left, right = half_weight_partition(g)
-    left_verts = np.fromiter(left, np.int64)
-    right_verts = np.fromiter(right, np.int64)
+    place = np.arange(n)  # vertex v is bit v - 1 of a mask
+    left_verts = np.flatnonzero(left.mask >> place & 1) + 1
+    right_verts = np.flatnonzero(right.mask >> place & 1) + 1
     w_lr = g.weight_matrix.take(left_verts, 0).take(right_verts, 1)
 
     size = len(left_verts)
@@ -307,7 +307,7 @@ def find_large_cut(
     else:
         bit, case = 3, "case3"
     in_u = (label & bit) > 0
-    u = VertexSubset.from_members(np.flatnonzero(in_u).tolist())
+    u = VertexSubset(int((1 << place[in_u[1:]]).sum()))
     weight = column_sum(w[in_u[i] != in_u[j]])  # cut_weight(g, g.vertices, u)
     meets = abs(weight) >= bound - slack
     if stat_met and not meets:

@@ -26,8 +26,8 @@ from .graph import (
     SignedWeightedGraph,
     VertexSubset,
     _check_subset,
-    _is_int,
-    _is_real,
+    _int_arg,
+    _real_arg,
     cut_weight,
     gamma_abs_weight,
     gamma_weight,
@@ -59,11 +59,10 @@ class EvaluationPoint:
         masks = [0, 0, 0]  # coordinates exactly 0, exactly 1 and in between
         half = True
         for idx, c in enumerate(coords, start=1):
-            if not _is_real(c):
-                raise InputError(f"coordinate {idx} = {c!r} is not a real number")
+            if type(c) is not float:
+                c = _real_arg(c, f"coordinate {idx}")
             if not 0 <= c <= 1:
                 raise InputError(f"coordinate {idx} = {c!r} is outside [0, 1]")
-            c = float(c)
             values.append(c)
             masks[0 if c == 0 else 1 if c == 1 else 2] |= 1 << idx - 1
             half = half and c in (0.0, 0.5, 1.0)
@@ -83,9 +82,7 @@ class EvaluationPoint:
 
     @classmethod
     def all_half(cls, n: int) -> "EvaluationPoint":
-        if not _is_int(n) or n < 0:
-            raise InputError(f"coordinate count must be a non-negative integer, got {n!r}")
-        return cls((0.5,) * n)
+        return cls((0.5,) * _int_arg(n, "coordinate count", 0))
 
     @property
     def n(self) -> int:
@@ -271,11 +268,8 @@ def dual_certificate(
     """
     if side not in ("lower_envelope", "upper_envelope"):
         raise InputError(f"side must be 'lower_envelope' or 'upper_envelope', got {side!r}")
-    try:
-        finite = _is_real(mu) and math.isfinite(mu)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+    mu = _real_arg(mu, "mu")
+    if not math.isfinite(mu):
         raise InputError(f"mu must be a finite real number, got {mu!r}")
     _check_subset(g, t_frac)
     verts = sorted(t_frac.members)

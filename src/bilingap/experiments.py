@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .cuts import all_subset_cut_extremes, all_subset_gamma, cut_range_bruteforce, find_large_cut
 from .envelopes import gap_ratio
 from .errors import CapacityError, InputError
-from .graph import _SLACK, SignedWeightedGraph, ordered_sum
+from .graph import _SLACK, SignedWeightedGraph, _int_arg, ordered_sum
 from .hullcheck import check_hull_exact
 from .instances import (
     hadamard_discrepancy_bound,
@@ -43,8 +43,10 @@ from .instances import (
 
 MAX_THREADS = 64  # ExperimentConfig.threads cap (CapacityError above it)
 
-# annotation of an ExperimentConfig field -> the types its value may have
-_FIELD_TYPES = {"int": int, "str": str, "str | None": (str, type(None))}
+# annotation of a str ExperimentConfig field -> the types its value may have
+_FIELD_TYPES = {"str": str, "str | None": (str, type(None))}
+# int ExperimentConfig field -> its (low, cap) bounds, for those that have any
+_INT_BOUNDS = {"num_instances": (1, None), "trial_budget": (1, None), "threads": (1, MAX_THREADS)}
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            if f.type == "int":  # a numpy integer is stored as an int
+                vars(self)[f.name] = _int_arg(value, f"config field {f.name}",
+                                              *_INT_BOUNDS.get(f.name, ()))
+            elif not isinstance(value, _FIELD_TYPES[f.type]):
                 raise InputError(f"config field {f.name} must be {f.type}, got {value!r}")
         if self.kind not in _KINDS:
             raise InputError(f"unknown experiment kind {self.kind!r}")
@@ -77,16 +82,8 @@ class ExperimentConfig:
             raise InputError(
                 f"thm1_montecarlo runs at one n (n_min = n_max), got {self.n_min}..{self.n_max}"
             )
-        if self.num_instances < 1:
-            raise InputError(f"num_instances must be >= 1, got {self.num_instances}")
         if self.output_format not in ("csv", "json"):
             raise InputError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
-        if self.threads < 1:
-            raise InputError(f"threads must be >= 1, got {self.threads}")
-        if self.threads > MAX_THREADS:
-            raise CapacityError(f"threads must be <= {MAX_THREADS}, got {self.threads}")
-        if self.trial_budget < 1:
-            raise InputError(f"trial_budget must be >= 1, got {self.trial_budget}")
 
     def to_json_dict(self) -> dict:
         """Every field but output_path, in field order: the config line of JSON output."""

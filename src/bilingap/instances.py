@@ -13,17 +13,13 @@ import math
 import numpy as np
 
 from . import rng
-from .errors import CapacityError, InputError
-from .graph import MAX_VERTICES, SignedWeightedGraph, _is_int, _is_real
+from .errors import InputError
+from .graph import MAX_VERTICES, SignedWeightedGraph, _int_arg, _is_real
 
 
 def _check_n(n: int, low: int = 2, per_vertex: int = 1) -> int:
     """n as an int; the graph has per_vertex * n vertices."""
-    if not _is_int(n) or n < low:
-        raise InputError(f"vertex count must be an integer >= {low}, got {n!r}")
-    if per_vertex * n > MAX_VERTICES:
-        raise CapacityError(f"{per_vertex * n} vertices exceed the bitmask cap of {MAX_VERTICES}")
-    return int(n)
+    return _int_arg(n, "vertex count", low, MAX_VERTICES // per_vertex)
 
 
 def _frozen(*columns: np.ndarray) -> tuple[np.ndarray, ...]:

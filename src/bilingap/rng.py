@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
-from .graph import _is_int
+from .graph import _int_arg
 
 # uint64 operands only: mixing in Python ints changes the result type across
 # numpy versions, and scalar uint64 overflow warns where array overflow wraps.
@@ -34,12 +33,12 @@ _ONE, _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
 
 
 def draws(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start .. start+count-1 (0-based) of the stream of seed (reduced mod 2^64)."""
-    if not _is_int(seed):
-        raise InputError(f"seed must be an integer, got {seed!r}")
+    """Outputs start .. start+count-1 (0-based, both >= 0) of the stream of seed mod 2^64."""
+    seed = _int_arg(seed, "seed")
+    start, count = _int_arg(start, "start", 0), _int_arg(count, "count", 0)
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= _GAMMA
-    z += np.uint64(int(seed) % 2**64)
+    z += np.uint64(seed % 2**64)
     z ^= z >> _S30
     z *= _MIX1
     z ^= z >> _S27

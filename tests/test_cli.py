@@ -392,6 +392,18 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("suffix", [".json", ".txt"])
+    def test_a_weight_that_is_no_double_exits_1(self, capsys, tmp_path, suffix):
+        path = tmp_path / f"big{suffix}"
+        if suffix == ".json":
+            path.write_text('{"n": 3, "edges": [[1, 2, 1], [2, 3, -9007199254740993]]}')
+        else:
+            path.write_text("# n 3\n1 2 1\n2 3 -9007199254740993\n")
+        code, out, err = run_cli(capsys, "eval", "--instance", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: edge (2, 3) weight -9007199254740993 is not a float64 value\n"
+
     @pytest.mark.parametrize("command", ["eval", "cut", "maxcut", "hullcheck"])
     @pytest.mark.parametrize("suffix", [".json", ".txt"])
     def test_overflowing_instance_exit_1(self, capsys, tmp_path, command, suffix):

@@ -475,7 +475,9 @@ class TestDualCertificate:
         ids=["nan", "inf", "-inf", "numpy-nan", "True", "str", "None", "10**400"],
     )
     def test_rejects_a_non_finite_or_non_real_mu(self, mu):
-        with pytest.raises(InputError, match="mu must be a finite real number"):
+        with pytest.raises(
+            InputError, match=r"^mu (must be a (finite )?real number|\d+ is beyond the float range)"
+        ):
             dual_certificate(TRIANGLE, VertexSubset.full(3), mu, "lower_envelope")
 
     def test_accepts_numpy_and_int_mu(self):

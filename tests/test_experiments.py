@@ -5,6 +5,7 @@ import math
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from bilingap import experiments
@@ -110,6 +111,21 @@ class TestConfigValidation:
         kw = {"kind": "ratio_sweep", "n_min": 2, "n_max": 4, field: value}
         with pytest.raises(InputError, match=f"config field {field} must be"):
             ExperimentConfig(**kw)
+
+    def test_numpy_integer_fields_are_stored_as_ints(self, tmp_path):
+        out = tmp_path / "run.jsonl"
+        ints = dict(n_min=2, n_max=3, num_instances=2, seed_base=5, trial_budget=10, threads=2)
+        cfg = ExperimentConfig(
+            kind="ratio_sweep", output_path=str(out), output_format="json",
+            **{k: t(v) for (k, v), t in zip(ints.items(), (np.int64, np.int32, np.uint8) * 2)},
+        )
+        assert cfg == ExperimentConfig(kind="ratio_sweep", output_path=str(out),
+                                       output_format="json", **ints)
+        assert all(type(getattr(cfg, k)) is int for k in ints)
+        run_experiment(cfg)
+        config_line = json.loads(read_text(out).splitlines()[0])
+        assert config_line == {"config": cfg.to_json_dict()}
+        assert all(type(config_line["config"][k]) is int for k in ints)
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_n_below_two_rejected_for_every_kind(self, kind):

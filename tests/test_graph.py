@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from bilingap import graph
 from bilingap.cli import main
 from bilingap.cuts import extreme_cuts, find_large_cut, half_weight_partition
-from bilingap.envelopes import EvaluationPoint, evaluate_bilinear
+from bilingap.envelopes import EvaluationPoint, dual_certificate, evaluate_bilinear
 from bilingap.errors import CapacityError, InputError, InvariantViolationError
 from bilingap.graph import (
     MAX_TOTAL_ABS_WEIGHT,
@@ -98,7 +99,7 @@ class TestVertexSubset:
             VertexSubset.from_members([64])
         with pytest.raises(CapacityError):
             VertexSubset.full(64)
-        with pytest.raises(InputError, match="vertex count must be non-negative"):
+        with pytest.raises(InputError, match="vertex count must be >= 0"):
             VertexSubset.full(-1)
 
     @pytest.mark.parametrize("member", [1.7, 2.0, True, "3", None])
@@ -207,6 +208,12 @@ class TestGraphConstruction:
         assert MIXED.adjacency[2] == ((1, 5.0), (3, 1.0))
         with pytest.raises(InputError):
             MIXED.weight(1, 1)
+        assert MIXED.weight(np.int64(1), np.uint8(3)) == -2.0
+
+    @pytest.mark.parametrize("i", [True, 1.0, "1", None])
+    def test_weight_takes_integer_vertices_only(self, i):
+        with pytest.raises(InputError, match=f"vertex i must be an integer, got {i!r}"):
+            MIXED.weight(i, 2)
 
     def test_weight_matrix_immutable(self):
         with pytest.raises(ValueError):
@@ -226,13 +233,14 @@ def _construction_reference(n: int, edges) -> dict:
         except (TypeError, ValueError):
             raise InputError(f"edge {e!r} is not an (i, j, weight) triple") from None
         if not (_is_int(i) and _is_int(j)):
-            raise InputError(f"edge {e!r}: vertex indices must be integers")
+            v = j if _is_int(i) else i
+            raise InputError(f"edge {e!r}: vertex index must be an integer, got {v!r}")
         if not _is_real(w):
-            raise InputError(f"edge {e!r}: weight must be a real number")
+            raise InputError(f"edge ({i}, {j}) weight must be a real number, got {w!r}")
         try:
             i, j, w = int(i), int(j), float(w)
         except OverflowError:
-            raise InputError(f"edge {e!r} has a weight beyond the float range") from None
+            raise InputError(f"edge ({i}, {j}) weight {w!r} is beyond the float range") from None
         if not 1 <= i < j <= n:
             raise InputError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= {n}")
         if w == 0.0:
@@ -514,6 +522,80 @@ class TestFromColumns:
             pytest.skip("long double is float64 on this platform")
         with pytest.raises(InputError, match="no wider than float64, got dtype float"):
             SignedWeightedGraph.from_columns(3, [1, 1], [2, 3], w)
+
+
+WIDE_LONG_DOUBLE = np.dtype(np.longdouble).itemsize > 8  # float64 on some platforms
+
+# (value, the double every entry point reads it as, or None where each refuses it)
+VALUE_TABLE = [
+    (2**53, 2.0**53),
+    (2**53 + 1, None),
+    (2**60, 2.0**60),
+    (2**63 - 1, None),
+    (-(2**63), -(2.0**63)),
+    (np.uint64(2**64 - 1), None),
+    (np.int64(2**53 + 1), None),
+    (Fraction(1, 2), 0.5),
+    (Fraction(1, 3), None),
+    (np.longdouble(0.5), None if WIDE_LONG_DOUBLE else 0.5),
+    (np.longdouble(1) / 3, None if WIDE_LONG_DOUBLE else 1 / 3),
+    (np.float32(0.1), float(np.float32(0.1))),
+    (True, None),
+    ("1", None),
+    (10**400, None),
+]
+VALUE_IDS = [repr(v)[:40] for v, _ in VALUE_TABLE]
+
+
+class TestValueTable:
+    """Each entry point reads a real number as the double equal to it, or refuses it."""
+
+    @pytest.mark.parametrize("value, want", VALUE_TABLE, ids=VALUE_IDS)
+    def test_both_constructors_store_the_same_double(self, value, want):
+        column = np.asarray([value])
+        from_column = lambda: SignedWeightedGraph.from_columns(2, [1], [2], column)
+        if want is None:
+            with pytest.raises(InputError, match=re.escape("edge (1, 2) weight")) as refused:
+                SignedWeightedGraph(2, ((1, 2, value),))
+        else:
+            assert SignedWeightedGraph(2, ((1, 2, value),)).edges == ((1, 2, want),)
+        if not (column.dtype.kind in "iu" or column.dtype.kind == "f" and column.itemsize <= 8):
+            with pytest.raises(InputError, match="edge column w must be a 1-D array"):
+                from_column()  # a Fraction, long double, bool, string or huge int column
+        elif want is None:  # a column it takes is walked edge by edge: the same error
+            with pytest.raises(InputError, match=re.escape(str(refused.value)) + "$"):
+                from_column()
+        else:
+            assert from_column().edges == ((1, 2, want),)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_integer_columns_at_the_dtype_limits(self, dtype):
+        info = np.iinfo(dtype)
+        doubles = [int(info.max) + 1 - 2**11, 2**53, 2**62] + [int(info.min)] * (dtype is np.int64)
+        w = np.array(doubles, dtype)
+        g = SignedWeightedGraph.from_columns(5, [1] * len(w), range(2, len(w) + 2), w)
+        assert [e[2] for e in g.edges] == [float(v) for v in doubles]
+        for bad in (info.max, 2**53 + 1):  # max is 2**63 - 1 or 2**64 - 1: no double
+            with pytest.raises(InputError, match=re.escape(f"edge (1, 3) weight {bad} is not")):
+                SignedWeightedGraph.from_columns(3, [1, 1], [2, 3], np.array([1, bad], dtype))
+
+    @pytest.mark.parametrize("value, want", VALUE_TABLE, ids=VALUE_IDS)
+    def test_coordinates_follow_the_rule_in_range(self, value, want):
+        if want is None or not 0 <= want <= 1:
+            with pytest.raises(InputError, match="coordinate 1"):
+                EvaluationPoint.of(value)
+        else:
+            assert EvaluationPoint.of(value).coords == (want,)
+
+    @pytest.mark.parametrize("value, want", VALUE_TABLE, ids=VALUE_IDS)
+    def test_mu_follows_the_rule(self, value, want):
+        # over the empty support any mu of the right sign is a valid certificate
+        side = "upper_envelope" if want is not None and want < 0 else "lower_envelope"
+        if want is None:
+            with pytest.raises(InputError, match="^mu "):
+                dual_certificate(TRIANGLE, VertexSubset(), value, side)
+        else:
+            assert dual_certificate(TRIANGLE, VertexSubset(), value, side).y == -0.5 * want
 
 
 class TestLazyEdges:

@@ -1,7 +1,8 @@
 """Every name a bilingap module imports is used, and every private name is read.
 
 No linter ships with the project, so these are the unused-import and the
-dead-private-name checks, plus the one-tolerance and read-only-cache lints.
+dead-private-name checks, plus the one-tolerance, read-only-cache and
+number-rule lints.
 Each module under src/bilingap is parsed with ast.  An imported name counts
 as used when the module reads it (a bare name, or the base of an attribute
 chain) or lists it in __all__.  A module-level private function, class or
@@ -232,3 +233,35 @@ def test_mask_table_views_are_read_only():
     table = cuts._mask_table(3)
     for view in (cuts.bit_matrix(3), table.T):
         assert view.base is table and not view.flags.writeable
+
+
+# The number rule lives in graph.py: every other module reads the numbers it
+# takes with graph._int_arg and graph._real_arg, not with the type tests under
+# them.  instances keeps _is_real for the exact +/-1 rule of _check_signs.
+_RULE_HOMES = {"_is_int": {"graph"}, "_is_real": {"graph", "instances"}}
+
+
+def _rule_imports(tree: ast.Module, module: str) -> list[str]:
+    """The number-rule type tests that module imports or reads as an attribute but may not."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return sorted(name for name in names & _RULE_HOMES.keys() if module not in _RULE_HOMES[name])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_number_rule_stays_in_graph(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _rule_imports(tree, path.stem)
+    assert not found, f"{path.name} reads numbers with {found}; use graph._int_arg/_real_arg"
+
+
+def test_the_check_sees_a_planted_rule_import():
+    planted = "\nfrom .graph import _is_int, _real_arg\nfrom . import graph\ngraph._is_real(1)\n"
+    for module in ("cuts", "instances", "graph"):
+        tree = ast.parse((SRC / f"{module}.py").read_text() + planted)
+        want = {"cuts": ["_is_int", "_is_real"], "instances": ["_is_int"], "graph": []}[module]
+        assert _rule_imports(tree, module) == want

@@ -34,6 +34,21 @@ def test_rejects_a_non_integer_seed(seed):
         draws(seed, 0, 3)
 
 
+@pytest.mark.parametrize(
+    "start, count, message",
+    [(-1, 3, "start must be >= 0"), (0, -1, "count must be >= 0"),
+     (0, 2.5, "count must be an integer"), (True, 2, "start must be an integer"),
+     (1.0, 2, "start must be an integer")],
+)
+def test_start_and_count_are_integers_from_zero(start, count, message):
+    with pytest.raises(InputError, match=message):
+        draws(1, start, count)
+
+
+def test_numpy_start_and_count_are_their_int_value():
+    assert draws(5, np.int64(2), np.uint8(3)).tolist() == draws(5, 2, 3).tolist()
+
+
 def test_numpy_integer_seeds_are_their_int_value():
     assert draws(np.int64(-1), 0, 3).tolist() == draws(2**64 - 1, 0, 3).tolist()
     assert draws(np.uint64(2**64 - 1), 0, 3).tolist() == draws(-1, 0, 3).tolist()
