@@ -4,9 +4,9 @@ extreme_cuts enumerates every cut of an induced subgraph once (meet in the
 middle, vectorized, capped at 26 vertices) and returns both extremes with
 witnesses; max/min_cut_bruteforce and cut_range_bruteforce are views of it.
 A cut is the 0/1 quadratic form b^T (diag(d) - W) b, d the row sums of W, and
-subset_gamma gives a symmetric block's form on every mask.  The enumeration,
-and subset_gamma above 10 bits, compute the form as one meet-in-the-middle
-matrix product whose operands come from one builder, _form_operands.  The
+subset_gamma gives a symmetric block's form on every mask.  One scan,
+_form_scan, makes these forms in blocks of meet-in-the-middle products for the
+enumeration, subset_gamma above 10 bits and envelopes.dual_certificate.  The
 enumeration multiplies in float32 when the weights are integers and small
 enough that every partial sum is an integer float32 holds exactly, so its
 witnesses are those of the float64 product; other weights stay in float64.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +47,6 @@ _FLOAT32_TOTAL = 1 << 21
 _CHUNK_ENTRIES = 1 << 12
 
 
-def _normalize_side(mask: int, full: int) -> int:
-    """Canonical witness side of a cut: fewer vertices, ties to the smaller mask."""
-    comp = full & ~mask
-    a, b = mask.bit_count(), comp.bit_count()
-    if a != b:
-        return mask if a < b else comp
-    return min(mask, comp)
-
-
 def _scan_dtype(g: SignedWeightedGraph, total: float) -> type:
     """float32 for integer weights whose subgraph total is at most _FLOAT32_TOTAL, else float64."""
     return np.float32 if g.integer_weights and total <= _FLOAT32_TOTAL else np.float64
@@ -74,10 +66,9 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     masks with the top position on side 0 are walked: all below the rest.  A
     mask and its complement are the same cut, so the first mask within the
     slack lies in the walked half, whose cuts are the form of Q without its
-    top row and column.  Each block of _form_operands rows is one product into
-    one reused buffer, scanned for its max and min; then only the first block
-    that reaches a witness bound is made again, once per side, unless the
-    buffer still holds it.
+    top row and column.  Each block of _form_scan is scanned for its max and
+    min; then only the first block that reaches a witness bound is made
+    again, once per side, unless the buffer still holds it.
 
     With integer weights and T <= _FLOAT32_TOTAL the product runs in float32
     and is exact.  Every operand entry is an integer (bits, 1, the halves'
@@ -91,45 +82,26 @@ def _cut_extremes(g: SignedWeightedGraph, x: VertexSubset) -> tuple[int, int]:
     verts = sorted(x.members)
     k = len(verts)
     if k > ENUMERATION_CAP:
-        raise CapacityError(
-            f"cut enumeration over {k} vertices exceeds the cap of {ENUMERATION_CAP}"
-        )
-    if k <= 1:
-        return 0, 0
+        raise CapacityError(f"cut enumeration needs <= {ENUMERATION_CAP} vertices, got {k}")
     w_sub = g.weight_matrix.take(verts, 0).take(verts, 1)
     q = -2.0 * w_sub
     q.flat[:: k + 1] = 2.0 * w_sub.sum(1)  # Q = 2 (diag(d) - W), as w_sub's diagonal is 0
     total = float(np.abs(w_sub).sum()) / 2  # |w_sub| counts each edge twice
-    dtype = _scan_dtype(g, total)
-    left, right = _form_operands(q[: k - 1, : k - 1])
-    left = left.astype(dtype, copy=False)  # one cast at a time keeps the peak at the float64 one
-    right = right.astype(dtype, copy=False)
+    product, starts = _form_scan(q[: k - 1, : k - 1], _scan_dtype(g, total))
     slack = _SLACK * total
-    half, width = len(left), right.shape[1]
-    rows = max(1, _BLOCK_BYTES // (width * right.itemsize))
-    # the one buffer; a short last block uses its top
-    block = np.empty((min(rows, half), width), dtype)
-
-    def product(start: int) -> np.ndarray:
-        """Cuts of the block of rows from start, written into the buffer."""
-        return np.matmul(left[start : start + rows], right, out=block[: min(rows, half - start)])
-
-    highs = []
-    lows = []
-    for start in range(0, half, rows):
-        c = product(start)
+    highs, lows = [], []
+    for i in range(len(starts)):
+        c = product(i)
         highs.append(float(np.maximum.reduce(c, None)))
         lows.append(float(np.minimum.reduce(c, None)))
-    at_least = max(highs) - slack
-    at_most = min(lows) + slack
+    bounds = ((highs, operator.ge, max(highs) - slack), (lows, operator.le, min(lows) + slack))
     held = len(highs) - 1  # the block the buffer holds
     masks = []
-    for ends, within, bound in ((highs, operator.ge, at_least), (lows, operator.le, at_most)):
+    for ends, within, bound in bounds:
         b = next(i for i, end in enumerate(ends) if within(end, bound))
         if b != held:
-            c = product(b * rows)
-            held = b
-        masks.append(b * rows * width + int(np.argmax(within(c, bound))))
+            c, held = product(b), b
+        masks.append(starts[b] + int(np.argmax(within(c, bound))))
     return masks[0], masks[1]
 
 
@@ -152,7 +124,8 @@ def extreme_cuts(
     mx_mask, mn_mask = _cut_extremes(g, x)
 
     def witness(mask: int) -> tuple[float, Cut]:
-        mask = _normalize_side(mask, full)
+        # the side with fewer vertices, ties to the smaller mask
+        mask = min((m.bit_count(), m) for m in (mask, full ^ mask))[1]
         side = VertexSubset.from_members(verts[p] for p in range(len(verts)) if mask >> p & 1)
         weight = cut_weight(g, x, side)
         return weight, Cut(ground_set=x, side=side, weight=weight)
@@ -457,25 +430,25 @@ def bit_matrix(k: int) -> np.ndarray:
     return _mask_table(k)[:, :k]
 
 
-def _form_operands(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) with (left @ right)[r, a] = 1/2 b^T q b at mask b = (r << h) + a.
+def _form_operands(q: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) of dtype with (left @ right)[r, a] = 1/2 b^T q b at mask b = (r << h) + a.
 
-    q is symmetric k x k, k >= 1; A is the low h = ceil(k / 2) bits and B the
+    q is symmetric k x k, k >= 0; A is the low h = ceil(k / 2) bits and B the
     rest.  Row r of left is [bb | form_B | 1] and column a of right is
     [q_BA ba | 1 | form_A], with the halves' forms from subset_gamma and both
-    halves' bits from bit_matrix(h).  The cross term is built in
-    _CHUNK_ENTRIES pieces.
+    halves' bits from bit_matrix(h), all computed in float64 and stored
+    rounded to dtype.  The cross term is built in _CHUNK_ENTRIES pieces.
     """
     k = len(q)
     h = (k + 1) // 2
     kb = k - h
     ba = bit_matrix(h)
-    left = np.empty((1 << kb, kb + 2))
+    left = np.empty((1 << kb, kb + 2), dtype)
     left[:, :kb] = ba[: 1 << kb, :kb]
     left[:, kb] = subset_gamma(q[h:, h:])
     left[:, kb + 1] = 1.0
-    right = np.empty((kb + 2, 1 << h))
-    step = _CHUNK_ENTRIES // h
+    right = _aligned_empty((kb + 2, 1 << h), dtype)
+    step = _CHUNK_ENTRIES // max(h, 1)
     for start in range(0, 1 << h, step):
         np.matmul(q[h:, :h], ba[start : start + step].T, out=right[:kb, start : start + step])
     right[kb] = 1.0
@@ -483,23 +456,47 @@ def _form_operands(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
+def _aligned_empty(shape: tuple[int, int], dtype: type) -> np.ndarray:
+    """np.empty(shape, dtype) starting on a 64-byte boundary, one AVX-512 vector."""
+    raw = np.empty(shape[0] * shape[1] * np.dtype(dtype).itemsize + 64, np.uint8)
+    return raw[-raw.ctypes.data % 64 :][: raw.size - 64].view(dtype).reshape(shape)
+
+
+def _form_scan(q: np.ndarray, dtype: type = np.float64) -> tuple[Callable, range]:
+    """(product, starts): the forms 1/2 b^T q b of all 2^k masks b, one block at a time.
+
+    product(i) writes block i, the masks from starts[i] on in ascending order,
+    into one reused buffer (row-major, at most _BLOCK_BYTES, so each product
+    runs on one OpenBLAS thread) as one product of _form_operands(q, dtype),
+    and returns it; the next call overwrites it.  The buffer and the right
+    operand start on 64-byte boundaries: off them, the same products ran up
+    to 1.8x slower, so the speed depended on where the heap put them.
+    """
+    left, right = _form_operands(q, dtype)
+    half, width = len(left), right.shape[1]
+    rows = max(1, _BLOCK_BYTES // (width * right.itemsize))
+    block = _aligned_empty((min(rows, half), width), dtype)  # a short last block uses its top
+
+    def product(i: int) -> np.ndarray:
+        start = i * rows
+        return np.matmul(left[start : start + rows], right, out=block[: min(rows, half - start)])
+
+    return product, range(0, half * width, rows * width)
+
+
 def subset_gamma(q: np.ndarray) -> np.ndarray:
     """1/2 b(m)^T q b(m) for every subset mask m of a symmetric k x k block (bit p <-> row p).
 
     With a zero diagonal this is the gamma weight of each mask; a diagonal
     entry 2t adds t to every mask holding its row.  Up to 10 bits the table is
-    one bit_matrix product; above, it is _form_operands' float64 product,
-    written into the table in _BLOCK_BYTES blocks.  The blocks keep each
-    product on one OpenBLAS thread; they save no memory, as one product into
-    the table would also need only the table and the O(2^(k/2)) operands.
+    one bit_matrix product; above, it is _form_scan's float64 blocks.
     """
     k = len(q)
     if k <= _PRODUCT_BITS:
         bits = bit_matrix(k)
         return 0.5 * np.einsum("mk,mk->m", bits @ q, bits)
-    left, right = _form_operands(q)
-    gam = np.empty((len(left), right.shape[1]))
-    rows = max(1, _BLOCK_BYTES // (right.shape[1] * right.itemsize))
-    for start in range(0, len(left), rows):
-        np.matmul(left[start : start + rows], right, out=gam[start : start + rows])
-    return gam.ravel()
+    product, starts = _form_scan(q)
+    gam = np.empty(1 << k)
+    for i, start in enumerate(starts):  # a short last block fills the rest
+        gam[start : start + starts.step] = product(i).ravel()
+    return gam

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cuts import _mask_table, cut_range_bruteforce, subset_gamma
+from .cuts import ENUMERATION_CAP, _form_scan, _mask_table, cut_range_bruteforce, subset_gamma
 from .errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from .graph import (
     MAX_VERTICES,
@@ -250,9 +250,6 @@ class DualCertificate:
         return self.y + 0.5 * ordered_sum(self.z.values())
 
 
-_CERT_CAP = 20  # feasibility validation enumerates 2^|T_f| subsets
-
-
 def dual_certificate(
     g: SignedWeightedGraph, t_frac: VertexSubset, mu: float, side: str
 ) -> DualCertificate:
@@ -260,11 +257,11 @@ def dual_certificate(
 
     mu must be the exact maximum (side "lower_envelope", certifying vex) or
     minimum (side "upper_envelope", certifying cav) signed cut weight of the
-    subgraph induced by t_frac.  The returned certificate is y = -mu/2 and
-    z_i = half the weight from i into t_frac; feasibility is checked against
-    every subset of t_frac, within _SLACK times the subgraph's total |weight|,
-    and a CertificateError carrying a violating subset is raised if mu was
-    wrong in the infeasible direction.
+    subgraph induced by t_frac, so |t_frac| <= ENUMERATION_CAP.  The returned
+    certificate is y = -mu/2 and z_i = half the weight from i into t_frac;
+    feasibility is checked on every subset of t_frac, within _SLACK times the
+    subgraph's total |weight|, by the cut kernel's block scan, and the first
+    violating subset raises a CertificateError carrying it (mu was wrong).
     """
     if side not in ("lower_envelope", "upper_envelope"):
         raise InputError(f"side must be 'lower_envelope' or 'upper_envelope', got {side!r}")
@@ -274,26 +271,29 @@ def dual_certificate(
     _check_subset(g, t_frac)
     verts = sorted(t_frac.members)
     k = len(verts)
-    if k > _CERT_CAP:
-        raise CapacityError(f"certificate validation needs |support| <= {_CERT_CAP}, got {k}")
+    if k > ENUMERATION_CAP:
+        raise CapacityError(f"certificate validation needs |support| <= {ENUMERATION_CAP}, got {k}")
     w = g.weight_matrix
     z = {v: 0.5 * float(ordered_sum(w[v, u] for u in verts if u != v)) for v in verts}
     y = -0.5 * mu
-    # slack[m] = gamma(X) - sum_{i in X} z_i for every X in t_frac (mask bit p <-> verts[p])
     w_sub = w[np.ix_(verts, verts)]
-    slack = subset_gamma(w_sub - np.diag([2.0 * z[v] for v in verts]))
     tol = _SLACK * float(np.abs(w_sub).sum()) / 2  # |w_sub| counts each edge twice
     lower = side == "lower_envelope"
-    slack += tol if lower else -tol  # in place: the doubles of slack +/- tol, one 2^k table
-    bad = np.flatnonzero(y > slack if lower else y < slack)
-    if bad.size:
-        m = int(bad[0])
-        violating = VertexSubset.from_members(verts[p] for p in range(k) if m >> p & 1)
-        raise CertificateError(
-            f"dual certificate for side {side!r} infeasible on subset "
-            f"{sorted(violating.members)}; mu={mu} is not the exact extreme cut value",
-            violating_subset=violating,
-        )
+    # gamma(X) - sum_{v in X} z_v on all 2^k masks (bit p <-> verts[p]): z breaks the symmetry
+    # of a mask and its complement, so no half walk
+    product, starts = _form_scan(w_sub - np.diag([2.0 * z[v] for v in verts]))
+    for b, start in enumerate(starts):
+        slack = product(b)
+        slack += tol if lower else -tol  # in place: the doubles of slack +/- tol
+        bad = np.flatnonzero(y > slack if lower else y < slack)
+        if bad.size:
+            m = start + int(bad[0])
+            violating = VertexSubset.from_members(verts[p] for p in range(k) if m >> p & 1)
+            raise CertificateError(
+                f"dual certificate for side {side!r} infeasible on subset "
+                f"{sorted(violating.members)}; mu={mu} is not the exact extreme cut value",
+                violating_subset=violating,
+            )
     return DualCertificate(side=side, y=y, z=z)
 
 

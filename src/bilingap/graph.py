@@ -58,6 +58,7 @@ class VertexSubset:
         return tuple(self)
 
     def __contains__(self, v: int) -> bool:
+        v = _int_arg(v, "vertex")  # any integer may be asked; a non-integer is an InputError
         return v >= 1 and bool(self.mask >> (v - 1) & 1)
 
     def __iter__(self) -> Iterator[int]:

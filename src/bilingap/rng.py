@@ -33,10 +33,11 @@ _ONE, _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
 
 
 def draws(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start .. start+count-1 (0-based, both >= 0) of the stream of seed mod 2^64."""
+    """Outputs start .. start+count-1 (0-based, >= 0, sum <= 2^64) of seed mod 2^64's stream."""
     seed = _int_arg(seed, "seed")
-    start, count = _int_arg(start, "start", 0), _int_arg(count, "count", 0)
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    start = _int_arg(start, "start", 0, 2**64)
+    count = _int_arg(count, "count", 0, 2**64 - start)
+    z = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) % 2**64)  # k + 1 mod 2^64
     z *= _GAMMA
     z += np.uint64(seed % 2**64)
     z ^= z >> _S30

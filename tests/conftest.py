@@ -7,11 +7,24 @@ tests compare two independent routes to the same quantity.
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from bilingap.graph import SignedWeightedGraph, VertexSubset
+
+# When a @given test fails, hypothesis imports its patch writer and with it
+# libcst, whose import warns with a DeprecationWarning (mypy_extensions'
+# TypedDict); the test settings make that an error, which ends the whole
+# session before any later test runs.  Importing it once here, with that
+# warning ignored, makes the later import a cache hit.  No filter changes.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst, or a hypothesis without the patch writer
+        pass
 
 
 def enumerate_cut_values(g: SignedWeightedGraph, x: VertexSubset) -> dict[int, float]:

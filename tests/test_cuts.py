@@ -36,6 +36,7 @@ from bilingap.graph import (
     cut_weight,
     gamma_abs_weight,
     gamma_weight,
+    ordered_sum,
 )
 from bilingap.instances import (
     hadamard_instance,
@@ -536,6 +537,89 @@ class TestSubsetGamma:
             finally:
                 tracemalloc.stop()
             assert peak < 10 * 2**20, side
+
+
+def _certificate_reference(g: SignedWeightedGraph, x: VertexSubset, mu: float, side: str):
+    """First violating mask of the certificate, or None: the earlier one-table check.
+
+    One 2^k slack table from subset_gamma, shifted by the tolerance in place
+    and compared with y = -mu/2 as a whole.
+    """
+    verts = sorted(x.members)
+    w_sub = g.weight_matrix[np.ix_(verts, verts)]
+    z = [0.5 * float(ordered_sum(row)) for row in w_sub]  # the zero diagonal adds nothing
+    slack = cuts.subset_gamma(w_sub - np.diag([2.0 * zp for zp in z]))
+    tol = cuts._SLACK * float(np.abs(w_sub).sum()) / 2
+    lower = side == "lower_envelope"
+    slack += tol if lower else -tol
+    bad = np.flatnonzero(-0.5 * mu > slack if lower else -0.5 * mu < slack)
+    return int(bad[0]) if bad.size else None
+
+
+def _first_violation(g: SignedWeightedGraph, x: VertexSubset, mu: float, side: str):
+    """The violating subset's mask over the positions of x, or None if the certificate holds."""
+    try:
+        dual_certificate(g, x, mu, side)
+    except CertificateError as e:
+        verts = sorted(x.members)
+        return sum(1 << verts.index(v) for v in e.violating_subset.members)
+    return None
+
+
+class TestCertificateScan:
+    """dual_certificate walks the cut kernel's blocks and stops at the first violating subset."""
+
+    @pytest.mark.parametrize("family", ["pm1", "int", "real"])
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_matches_the_one_table_check(self, k, family):
+        if family == "pm1":
+            g = random_pm1_complete(k, seed=k)
+        elif family == "int":
+            g = random_int_graph(100 + k, k)
+        else:
+            g = uniform_real_complete(k, seed=k)
+        (mu_plus, _), (mu_minus, _) = extreme_cuts(g, g.vertices)
+        for side, mu in (("lower_envelope", mu_plus), ("upper_envelope", mu_minus)):
+            for d in (0.0, -1.0, 1.0):  # exact, and off by one on each side
+                want = _certificate_reference(g, g.vertices, mu + d, side)
+                assert _first_violation(g, g.vertices, mu + d, side) == want, (side, d)
+                assert (want is None) == (d == 0.0 or (d > 0) == (side == "lower_envelope"))
+
+    @pytest.mark.parametrize("block_bytes", [1, 3 << 12], ids=["one_row", "short_last"])
+    def test_block_sizes_give_the_same_first_violation(self, monkeypatch, block_bytes):
+        g = random_int_graph(7, 14)
+        (mu_plus, _), (mu_minus, _) = extreme_cuts(g, g.vertices)
+        sides = (("lower_envelope", mu_plus), ("upper_envelope", mu_minus))
+        cases = [(s, mu + d) for s, mu in sides for d in (-3.0, -1.0, 0.0, 1.0, 3.0)]
+        want = [_first_violation(g, g.vertices, mu, s) for s, mu in cases]
+        monkeypatch.setattr(cuts, "_BLOCK_BYTES", block_bytes)
+        assert [_first_violation(g, g.vertices, mu, s) for s, mu in cases] == want
+        assert want.count(None) == 6
+
+    def test_a_24_vertex_support(self):
+        g = random_pm1_complete(24, seed=24)
+        (mu_plus, _), (mu_minus, _) = extreme_cuts(g, g.vertices)
+        dual_certificate(g, g.vertices, mu_plus, "lower_envelope")
+        dual_certificate(g, g.vertices, mu_minus, "upper_envelope")
+        with pytest.raises(CertificateError):
+            dual_certificate(g, g.vertices, mu_plus - 1.0, "lower_envelope")
+        with pytest.raises(CertificateError):
+            dual_certificate(g, g.vertices, mu_minus + 1.0, "upper_envelope")
+
+    def test_k20_certificate_peaks_under_one_mib(self):
+        # one 256 KiB block buffer and O(2^(k/2)) operands; a 2^20 slack
+        # table alone would be 8 MiB
+        g = random_pm1_complete(20, seed=20)
+        (mu_plus, _), (mu_minus, _) = extreme_cuts(g, g.vertices)
+        dual_certificate(g, g.vertices, mu_plus, "lower_envelope")  # warm the bit tables
+        for mu, side in ((mu_plus, "lower_envelope"), (mu_minus, "upper_envelope")):
+            tracemalloc.start()
+            try:
+                dual_certificate(g, g.vertices, mu, side)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, side
 
 
 def _subset_extremes_reference(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from bilingap.envelopes import (
 )
 from bilingap import cuts, envelopes, simplex
 from bilingap.cli import main
-from bilingap.cuts import all_subset_gamma
+from bilingap.cuts import ENUMERATION_CAP, all_subset_gamma
 from bilingap.errors import CapacityError, CertificateError, InputError, InvariantViolationError
 from bilingap.graph import (
     _SLACK, SignedWeightedGraph, VertexSubset, gamma_abs_weight, gamma_weight, write_instance
@@ -512,9 +512,11 @@ class TestDualCertificate:
             dual_certificate(TRIANGLE, VertexSubset.full(3), 2.0, "vex")
 
     def test_capacity(self):
-        g = SignedWeightedGraph(21, ((1, 2, 1.0),))
-        with pytest.raises(CapacityError):
-            dual_certificate(g, VertexSubset.full(21), 0.0, "lower_envelope")
+        # the cut kernel's cap: mu itself comes from an enumeration of the support
+        k = ENUMERATION_CAP + 1
+        g = SignedWeightedGraph(k, ((1, 2, 1.0),))
+        with pytest.raises(CapacityError, match=f"<= {ENUMERATION_CAP}, got {k}$"):
+            dual_certificate(g, VertexSubset.full(k), 0.0, "lower_envelope")
 
     def test_subset_outside_the_graph_is_an_input_error(self):
         # checked before the size cap, as in extreme_cuts
@@ -566,18 +568,22 @@ def _counted(calls: list, fn):
 
 
 class TestOneTableBuilder:
-    """Every per-mask weight table comes from cuts.subset_gamma, built once per call."""
+    """Every per-mask weight table comes from cuts.subset_gamma, built once per call.
 
-    def test_certificate_builds_one_table(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(envelopes, "subset_gamma", _counted(calls, cuts.subset_gamma))
+    The certificate builds no table: it runs the cut kernel's scan once.
+    """
+
+    def test_certificate_runs_one_scan(self, monkeypatch):
+        scans, tables = [], []
+        monkeypatch.setattr(envelopes, "subset_gamma", _counted(tables, cuts.subset_gamma))
+        monkeypatch.setattr(envelopes, "_form_scan", _counted(scans, cuts._form_scan))
         g = random_int_graph(11, 5)
         for mask in (0, 0b1, 0b10110, 0b11111):
             x = VertexSubset(mask)
             mu_plus, mu_minus = oracle_mu(g, x)
             dual_certificate(g, x, mu_plus, "lower_envelope")
             dual_certificate(g, x, mu_minus, "upper_envelope")
-        assert calls == [0, 0, 1, 1, 3, 3, 5, 5]
+        assert (scans, tables) == ([0, 0, 1, 1, 3, 3, 5, 5], [])
 
     def test_hull_lp_builds_one_table_when_a_coordinate_is_fractional(self, monkeypatch):
         calls = []

@@ -70,6 +70,17 @@ class TestVertexSubset:
         assert 3 in s and 2 not in s
         assert list(iter(s)) == [1, 3, 5]
 
+    def test_membership_takes_any_integer(self):
+        s = VertexSubset(0b101)
+        assert [v in s for v in (0, -1, 1, 2, 3, np.int64(3), 10**30)] == [
+            False, False, True, False, True, True, False
+        ]
+
+    @pytest.mark.parametrize("v", [True, 1.0, "1", None], ids=["True", "1.0", "str", "None"])
+    def test_membership_of_a_non_integer_is_an_input_error(self, v):
+        with pytest.raises(InputError, match="vertex must be an integer"):
+            v in VertexSubset(3)
+
     def test_full(self):
         assert sorted(VertexSubset.full(4).members) == [1, 2, 3, 4]
         assert VertexSubset.full(0).mask == 0

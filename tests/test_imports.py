@@ -1,8 +1,8 @@
 """Every name a bilingap module imports is used, and every private name is read.
 
 No linter ships with the project, so these are the unused-import and the
-dead-private-name checks, plus the one-tolerance, read-only-cache and
-number-rule lints.
+dead-private-name checks, plus the one-tolerance, read-only-cache,
+number-rule and one-kernel lints.
 Each module under src/bilingap is parsed with ast.  An imported name counts
 as used when the module reads it (a bare name, or the base of an attribute
 chain) or lists it in __all__.  A module-level private function, class or
@@ -265,3 +265,42 @@ def test_the_check_sees_a_planted_rule_import():
         tree = ast.parse((SRC / f"{module}.py").read_text() + planted)
         want = {"cuts": ["_is_int", "_is_real"], "instances": ["_is_int"], "graph": []}[module]
         assert _rule_imports(tree, module) == want
+
+
+# One enumeration kernel: the cut enumeration, the subset tables above 10 bits
+# and the dual certificate all multiply the meet-in-the-middle operands through
+# cuts._form_scan, so no other function may read the operand builder.
+_OPERANDS = "_form_operands"
+_SCAN = {("cuts", "_form_scan")}
+
+
+def _operand_readers(tree: ast.Module, module: str) -> set[tuple[str, str]]:
+    """(module, top-level definition or "<module>") for each read of _form_operands."""
+    readers = set()
+    for top in tree.body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == _OPERANDS and isinstance(getattr(node, "ctx", None), ast.Load):
+                readers.add((module, scope))
+    return readers
+
+
+def test_only_the_scan_reads_the_operand_builder():
+    readers = set().union(
+        *(_operand_readers(ast.parse(p.read_text(), filename=str(p)), p.stem)
+          for p in sorted(SRC.glob("*.py")))
+    )
+    assert readers == _SCAN
+
+
+def test_the_check_sees_a_planted_operand_read():
+    planted = (
+        "\ndef _own_loop(q):\n    left, right = _form_operands(q)\n"
+        "\nclass _Table:\n    build = staticmethod(cuts._form_operands)\n"
+        "\nbuilder = _form_operands\n"
+    )
+    for module in ("cuts", "envelopes"):
+        tree = ast.parse((SRC / f"{module}.py").read_text() + planted)
+        want = {(module, scope) for scope in ("_own_loop", "_Table", "<module>")}
+        assert _operand_readers(tree, module) == want | (_SCAN if module == "cuts" else set())

@@ -21,7 +21,7 @@ _CONSTANTS = {
     "exact cut enumeration": cuts.ENUMERATION_CAP,
     "hull LP": envelopes.LP_SIZE_CAP,
     "all-subset tables": cuts._TABLE_CAP,
-    "dual certificate enumeration": envelopes._CERT_CAP,
+    "dual certificate enumeration": cuts.ENUMERATION_CAP,
     "experiment `threads`": experiments.MAX_THREADS,
 }
 

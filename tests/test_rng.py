@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bilingap.errors import InputError
+from bilingap.errors import CapacityError, InputError
 from bilingap.rng import bits, draws, shifted, signs, units
 
 from conftest import splitmix64_reference
@@ -42,6 +42,27 @@ def test_rejects_a_non_integer_seed(seed):
 )
 def test_start_and_count_are_integers_from_zero(start, count, message):
     with pytest.raises(InputError, match=message):
+        draws(1, start, count)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_the_top_indices_match_the_closed_form(seed):
+    # output k mixes (s + (k + 1) * gamma) mod 2^64, so index 2^64 - 1 mixes s itself
+    last = splitmix64_reference((seed - 0x9E3779B97F4A7C15) % 2**64, 1)  # one step lands on s
+    assert draws(seed, 2**64 - 1, 1).tolist() == last
+    tail = splitmix64_reference((seed - 3 * 0x9E3779B97F4A7C15) % 2**64, 3)
+    assert draws(seed, 2**64 - 3, 3).tolist() == tail
+    assert draws(seed, 2**64 - 2, 2).tolist() == tail[1:]
+    assert draws(seed, 2**64, 0).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "start, count, message",
+    [(2**64, 1, "count must be <= 0, got 1"), (2**64 - 1, 2, "count must be <= 1, got 2"),
+     (2**64 + 1, 0, "start must be <= 18446744073709551616")],
+)
+def test_past_the_last_index_is_a_capacity_error(start, count, message):
+    with pytest.raises(CapacityError, match=message):
         draws(1, start, count)
 
 
