@@ -166,24 +166,33 @@ def half_weight_partition(
     tie = _SLACK * g.total_abs_weight
     abs_w = np.abs(g.weight_matrix)
     incident = np.cumsum(abs_w, axis=1)[:, -1].tolist()  # left to right, as ordered_sum adds
-    side = [0] * (n + 1)
-    to_cross = [0.0] * (n + 1)  # |weight| from v to the opposite side
+    limit = [d - tie for d in incident]
+    cross = np.zeros(n + 1)  # |weight| from v to the opposite side
+    sign = np.ones(n + 1)  # +1 on side 0, -1 on side 1
+    step = np.empty(n + 1)
+    # the sweep reads through memoryviews: each read is a Python float, not a numpy scalar
+    to_cross = memoryview(cross)
+    flip = memoryview(sign)
     move_cap = n * max(1, g.num_edges) + n + 1
     moves = 0
     changed = True
     while changed and moves <= move_cap:
         changed = False
         for v in range(1, n + 1):
-            if 2.0 * to_cross[v] < incident[v] - tie:
-                sv = side[v] = side[v] ^ 1
+            if 2.0 * to_cross[v] < limit[v]:
                 to_cross[v] = incident[v] - to_cross[v]
-                # only a moved vertex's row is read; a zero entry (no edge) changes nothing
-                row = abs_w[v].tolist()
-                to_cross = [t - a if s == sv else t + a for t, a, s in zip(to_cross, row, side)]
+                flip[v] = -flip[v]
+                # u on v's new side loses |w_uv|, u across gains it: t + (-a) is t - a and
+                # t - (-a) is t + a, exactly; a zero entry (no edge, or u = v) changes nothing
+                np.multiply(abs_w[v], sign, out=step)
+                if flip[v] < 0.0:
+                    np.add(cross, step, out=cross)
+                else:
+                    np.subtract(cross, step, out=cross)
                 moves += 1
                 changed = True
-    s1 = side[1]
-    left = VertexSubset(sum(1 << v - 1 for v in range(1, n + 1) if side[v] == s1))
+    s1 = flip[1]
+    left = VertexSubset(sum(1 << v - 1 for v in range(1, n + 1) if flip[v] == s1))
     return left, g.vertices.difference(left)
 
 

@@ -379,8 +379,12 @@ def ordered_sum(values: Iterable[float]) -> float:
 
 
 def column_sum(values: np.ndarray) -> float:
-    """ordered_sum of a float column: np.cumsum adds left to right, np.sum pairwise."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    """ordered_sum of a float column: np.add.accumulate adds left to right, np.sum pairwise.
+
+    It is the ufunc np.cumsum calls, so the doubles are the same, without cumsum's
+    Python-level dispatch.
+    """
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 def _check_subset(g: SignedWeightedGraph, x: VertexSubset) -> None:

@@ -6,13 +6,18 @@ tests compare two independent routes to the same quantity.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bilingap.graph import SignedWeightedGraph, VertexSubset
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 # When a @given test fails, hypothesis imports its patch writer and with it
 # libcst, whose import warns with a DeprecationWarning (mypy_extensions'
@@ -173,3 +178,15 @@ def enumeration_calls(monkeypatch):
 
     monkeypatch.setattr(cuts, "_cut_extremes", counted)
     return calls
+
+
+def load_bench_module(stem: str):
+    """bench/<stem>.py as a fresh module; the bench directory is no package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", BENCH_DIR / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

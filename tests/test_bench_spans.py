@@ -8,31 +8,16 @@ of those breaks a traced run.  These checks catch both in the tier-1 suite.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from bilingap import experiments
 from bilingap.envelopes import EvaluationPoint, gap_report
 from bilingap.experiments import ExperimentConfig
 from bilingap.instances import random_pm1_complete
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
+from conftest import load_bench_module
 
 
 def test_every_layer_target_resolves_to_a_callable():
-    spans = load_spans()
+    spans = load_bench_module("spans")
     targets = [target for layer in spans.LAYERS for target in layer.targets]
     assert len(targets) == len(set(targets)) > 0
     for target in targets:
@@ -41,7 +26,7 @@ def test_every_layer_target_resolves_to_a_callable():
 
 
 def test_a_small_traced_run_reaches_every_layer_with_its_counts():
-    spans = load_spans()
+    spans = load_bench_module("spans")
     g = random_pm1_complete(4, 3)
     with spans.Tracer().installed() as tracer:
         gap_report(g, EvaluationPoint.from_iterable((0.3, 0.7, 0.6, 1.0)))  # an f = 3 LP

@@ -378,6 +378,15 @@ def _partition_reference(g: SignedWeightedGraph) -> tuple[VertexSubset, VertexSu
     return left, g.vertices.difference(left)
 
 
+def _scaled(g: SignedWeightedGraph, factor: float) -> SignedWeightedGraph:
+    return SignedWeightedGraph(g.n, tuple((i, j, w * factor) for i, j, w in g.edges))
+
+
+def _spread(g: SignedWeightedGraph, n: int, place) -> SignedWeightedGraph:
+    """g's edges on vertices place(1..g.n) of an n-vertex graph; the other vertices are isolated."""
+    return SignedWeightedGraph(n, tuple((place(i), place(j), w) for i, j, w in g.edges))
+
+
 def _partition_cases():
     signs = random.Random(5)
     for n in range(2, 51):
@@ -387,6 +396,22 @@ def _partition_cases():
         yield signed_path(n, [signs.choice((-1, 1)) for _ in range(n - 1)])
         if n >= 3:
             yield signed_cycle(n, [signs.choice((-1, 1)) for _ in range(n)])
+    for n in (2, 3, 7, 20, 50, 63):
+        for g in (random_pm1_complete(n, 100 + n), uniform_real_complete(n, 100 + n)):
+            yield _scaled(g, 0.999e300 / g.total_abs_weight)  # the total just under the cap
+            yield _scaled(g, 1e-300)  # normal weights whose tie slack is subnormal
+        pm1 = random_pm1_complete(n, 200 + n)
+        yield _scaled(pm1, 3.0)
+        yield _scaled(pm1, 1.0 / 3.0)
+    for m in (2, 5, 12, 31):
+        sparse = random_signed_graph(m, 300 + m)
+        yield _spread(sparse, 2 * m + 1, lambda v: 2 * v)  # every odd vertex isolated
+        yield _spread(sparse, 63, lambda v: 63 - m + v)  # vertices 1..63 - m isolated
+    yield SignedWeightedGraph(5, ())  # no edge: nothing moves
+    for seed in range(3):
+        yield random_pm1_complete(63, seed)
+        yield uniform_real_complete(63, seed)
+        yield random_signed_graph(63, seed)
 
 
 class TestHalfWeightPartition:
