@@ -261,49 +261,37 @@ def find_large_cut(
 
     if not stat_met and n <= ENUMERATION_CAP:
         (mx, cut_hi), (mn, cut_lo) = extreme_cuts(g, g.vertices)
-        cut = cut_hi if abs(mx) >= abs(mn) - slack else cut_lo
-        return CutSearchResult(
-            cut=cut,
-            bound=bound,
-            meets_guarantee=abs(cut.weight) >= bound - slack,
-            trials_used=t + 1,
-            case_taken="brute_fallback",
-        )
-
-    # The three cases on the edge columns: label 1 marks the sample, 2 the
-    # chosen columns, 0 the rest, so an edge's label xor is 1 for sample-rest,
-    # 2 for chosen-rest and 3 for sample-chosen.
-    label = np.zeros(n + 1, dtype=np.int8)
-    label[left_verts[best_picks > 0]] = 1
-    plus = best_cols >= -slack
-    plus_total = float(best_cols[plus].sum())
-    minus_total = -float(best_cols[~plus].sum())
-    side_sign = 1.0 if plus_total >= minus_total - slack else -1.0
-    label[right_verts[plus == (side_sign > 0)]] = 2  # the chosen sign's columns
-    i, j, w = g._columns
-    pair = label[i] ^ label[j]
-    if side_sign * column_sum(w[pair == 1]) >= -case_threshold - slack:
-        bit, case = 1, "case1"
-    elif side_sign * column_sum(w[pair == 2]) >= -case_threshold - slack:
-        bit, case = 2, "case2"
+        cut, case = cut_hi if abs(mx) >= abs(mn) - slack else cut_lo, "brute_fallback"
     else:
-        bit, case = 3, "case3"
-    in_u = (label & bit) > 0
-    u = VertexSubset(int((1 << place[in_u[1:]]).sum()))
-    weight = column_sum(w[in_u[i] != in_u[j]])  # cut_weight(g, g.vertices, u)
-    meets = abs(weight) >= bound - slack
-    if stat_met and not meets:
+        # The three cases on the edge columns: label 1 marks the sample, 2 the
+        # chosen columns, 0 the rest, so an edge's label xor is 1 for sample-rest,
+        # 2 for chosen-rest and 3 for sample-chosen.
+        label = np.zeros(n + 1, dtype=np.int8)
+        label[left_verts[best_picks > 0]] = 1
+        plus = best_cols >= -slack
+        plus_total = float(best_cols[plus].sum())
+        minus_total = -float(best_cols[~plus].sum())
+        side_sign = 1.0 if plus_total >= minus_total - slack else -1.0
+        label[right_verts[plus == (side_sign > 0)]] = 2  # the chosen sign's columns
+        i, j, w = g._columns
+        pair = label[i] ^ label[j]
+        if side_sign * column_sum(w[pair == 1]) >= -case_threshold - slack:
+            bit, case = 1, "case1"
+        elif side_sign * column_sum(w[pair == 2]) >= -case_threshold - slack:
+            bit, case = 2, "case2"
+        else:
+            bit, case = 3, "case3"
+        in_u = (label & bit) > 0
+        u = VertexSubset(int((1 << place[in_u[1:]]).sum()))
+        weight = column_sum(w[in_u[i] != in_u[j]])  # cut_weight(g, g.vertices, u)
+        cut = Cut(ground_set=g.vertices, side=u, weight=weight)
+    meets = abs(cut.weight) >= bound - slack
+    if stat_met and not meets:  # never on the fallback, which runs only when not stat_met
         raise InvariantViolationError(
-            f"cut weight {weight} misses the bound {bound} although the sampled "
+            f"cut weight {cut.weight} misses the bound {bound} although the sampled "
             f"discrepancy threshold was met; this indicates a bug"
         )
-    return CutSearchResult(
-        cut=Cut(ground_set=g.vertices, side=u, weight=weight),
-        bound=bound,
-        meets_guarantee=meets,
-        trials_used=t + 1,
-        case_taken=case,
-    )
+    return CutSearchResult(cut, bound, meets, trials_used=t + 1, case_taken=case)
 
 
 _TABLE_CAP = 16  # subset masks and pair indices fit in uint16

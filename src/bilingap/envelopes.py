@@ -279,8 +279,9 @@ def dual_certificate(
     w_sub = w[np.ix_(verts, verts)]
     tol = _SLACK * float(np.abs(w_sub).sum()) / 2  # |w_sub| counts each edge twice
     lower = side == "lower_envelope"
-    # gamma(X) - sum_{v in X} z_v on all 2^k masks (bit p <-> verts[p]): z breaks the symmetry
-    # of a mask and its complement, so no half walk
+    # gamma(X) - sum_{v in X} z_v on all 2^k masks (bit p <-> verts[p]).  With z as built it
+    # is -cut(X)/2, equal on a mask and its complement, but the check must hold for the
+    # certificate's own z, and a wrong z need not be symmetric: so no half walk
     product, starts = _form_scan(w_sub - np.diag([2.0 * z[v] for v in verts]))
     for b, start in enumerate(starts):
         slack = product(b)

@@ -434,30 +434,19 @@ def cross_weight(g: SignedWeightedGraph, a: VertexSubset, b: VertexSubset) -> fl
 # ---------------------------------------------------------------------------
 # Instance files.  JSON: {"n": int, "edges": [[i, j, weight], ...]}.
 # Text: one "i j weight" line per edge, '#' comments and blank lines ignored,
-# first non-comment line "n <count>".  Weights round-trip exactly in both
-# formats (shortest-repr float serialization).
+# the vertex count in a "# n <count>" comment.  Weights round-trip exactly in
+# both formats (shortest-repr float serialization).
 # ---------------------------------------------------------------------------
 
 
-def to_json_dict(g: SignedWeightedGraph) -> dict:
-    return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}
-
-
-def from_json_dict(data: dict) -> SignedWeightedGraph:
-    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
-        raise InputError('instance JSON must be an object with "n" and "edges"')
-    if not isinstance(data["edges"], list):
-        raise InputError('"edges" must be an array of [i, j, weight] triples')
-    return SignedWeightedGraph(data["n"], tuple(data["edges"]))
-
-
 def dumps_json(g: SignedWeightedGraph) -> str:
-    return json.dumps(to_json_dict(g))
+    return json.dumps({"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]})
 
 
 def _read_json(text: str, what: str):
-    """The one JSON reader for instance and config files: malformed JSON, nesting
-    too deep to parse and a repeated object key are each an InputError."""
+    """The one JSON reader for instance and config files: every ValueError json.loads
+    raises (malformed JSON, an integer past the digit limit), nesting too deep to
+    parse and a repeated object key are each an InputError."""
 
     def unique_keys(pairs: list) -> dict:
         obj = {}
@@ -469,14 +458,21 @@ def _read_json(text: str, what: str):
 
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except InputError:  # unique_keys' own, already prefixed
+        raise
+    except ValueError as exc:
         raise InputError(f"invalid {what} JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"invalid {what} JSON: nested too deep to parse") from None
 
 
 def loads_json(text: str) -> SignedWeightedGraph:
-    return from_json_dict(_read_json(text, "instance"))
+    data = _read_json(text, "instance")
+    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
+        raise InputError('instance JSON must be an object with "n" and "edges"')
+    if not isinstance(data["edges"], list):
+        raise InputError('"edges" must be an array of [i, j, weight] triples')
+    return SignedWeightedGraph(data["n"], tuple(data["edges"]))
 
 
 def dumps_text(g: SignedWeightedGraph) -> str:
@@ -538,17 +534,12 @@ def write_instance(g: SignedWeightedGraph, path: str | Path, fmt: str | None = N
         raise InputError(f"unknown instance format {fmt!r} (expected 'json' or 'text')")
 
 
-def read_instance(path: str | Path, fmt: str | None = None) -> SignedWeightedGraph:
-    """Read an instance file, sniffing JSON vs text from extension then content."""
+def read_instance(path: str | Path) -> SignedWeightedGraph:
+    """Read an instance file: JSON when its first non-blank character is '{' or '[',
+    text otherwise, whatever the file is called."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise InputError(f"cannot read instance file {path}: {exc}") from None
-    if fmt is None:
-        fmt = "json" if path.suffix == ".json" or text.lstrip().startswith("{") else "text"
-    if fmt == "json":
-        return loads_json(text)
-    if fmt == "text":
-        return loads_text(text)
-    raise InputError(f"unknown instance format {fmt!r} (expected 'json' or 'text')")
+    return loads_json(text) if text.lstrip()[:1] in ("{", "[") else loads_text(text)

@@ -7,6 +7,7 @@ tests compare two independent routes to the same quantity.
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 import sys
 import warnings
@@ -30,6 +31,32 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # no libcst, or a hypothesis without the patch writer
         pass
+
+
+TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
+
+
+def strip_wall_times(text: str) -> str:
+    """Experiment output (CSV, or JSON lines) without its wall_time_ms fields."""
+    lines = text.splitlines()
+    if not lines:
+        return text
+    if lines[0].startswith("{"):
+        out = []
+        for line in lines:
+            obj = json.loads(line)
+            for val in obj.values():
+                if isinstance(val, dict):
+                    val.pop("wall_time_ms", None)
+            out.append(json.dumps(obj))
+        return "\n".join(out)
+    header = lines[0].split(",")
+    if "wall_time_ms" not in header:
+        return text
+    drop = header.index("wall_time_ms")
+    return "\n".join(
+        ",".join(c for i, c in enumerate(line.split(",")) if i != drop) for line in lines
+    )
 
 
 def enumerate_cut_values(g: SignedWeightedGraph, x: VertexSubset) -> dict[int, float]:

@@ -7,7 +7,6 @@ budgets are asserted where a criterion carries one.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 import time
@@ -40,7 +39,7 @@ from bilingap.graph import (
 from bilingap.hullcheck import check_hull_exact
 from bilingap.instances import hadamard_instance, random_pm1_complete
 
-from conftest import record_acceptance, random_int_graph
+from conftest import random_int_graph, record_acceptance, strip_wall_times
 
 
 def test_criterion_1_closed_form_vs_lp():
@@ -282,29 +281,6 @@ def test_criterion_7_dual_certificates_exhaustive():
     assert worst <= 1e-9
 
 
-def _strip_wall_times(text: str) -> str:
-    lines = text.splitlines()
-    if not lines:
-        return text
-    if lines[0].startswith("{"):
-        out = []
-        for line in lines:
-            obj = json.loads(line)
-            for val in obj.values():
-                if isinstance(val, dict):
-                    val.pop("wall_time_ms", None)
-            out.append(json.dumps(obj))
-        return "\n".join(out)
-    header = lines[0].split(",")
-    if "wall_time_ms" not in header:
-        return text
-    drop = header.index("wall_time_ms")
-    return "\n".join(
-        ",".join(c for i, c in enumerate(line.split(",")) if i != drop)
-        for line in lines
-    )
-
-
 def test_criterion_8_cli_determinism(tmp_path, capsys):
     start = time.monotonic()
     runs = [
@@ -327,7 +303,7 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
             capsys.readouterr()
             assert code == 0
             with open(out) as fh:
-                texts.append(_strip_wall_times(fh.read()))
+                texts.append(strip_wall_times(fh.read()))
         if texts[0] != texts[1]:
             all_identical = False
             mismatches.append(f"{kind}/{fmt}")

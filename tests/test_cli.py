@@ -22,7 +22,7 @@ from bilingap.instances import (
     signed_cycle,
 )
 
-TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
+from conftest import TRIANGLE, strip_wall_times
 
 
 def run_cli(capsys, *argv):
@@ -35,15 +35,6 @@ def write_triangle(tmp_path):
     path = str(tmp_path / "tri.json")
     write_instance(TRIANGLE, path)
     return path
-
-
-def strip_wall_times(text: str) -> str:
-    lines = text.splitlines()
-    header = lines[0].split(",")
-    drop = header.index("wall_time_ms")
-    return "\n".join(
-        ",".join(c for i, c in enumerate(line.split(",")) if i != drop) for line in lines
-    )
 
 
 class TestGen:
@@ -119,6 +110,22 @@ class TestGen:
         assert stdout == ""
         assert "usage" in err.lower() and "--signs" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "cut", "maxcut", "hullcheck"])
+    def test_text_file_named_json_is_read_as_text(self, capsys, tmp_path, command):
+        # the content decides the format, not the name: the README's gen example
+        outputs = []
+        for name in ("c4.json", "c4.txt"):
+            out = str(tmp_path / name)
+            code, _, _ = run_cli(
+                capsys, "gen", "--family", "cycle", "--n", "4",
+                "--signs", "+,+,-,-", "--out", out, "--format", "text",
+            )
+            assert code == 0
+            code, stdout, err = run_cli(capsys, command, "--instance", out)
+            assert (code, err) == (0, "")
+            outputs.append(stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestEval:
@@ -540,8 +547,13 @@ class TestErrorPaths:
             (("eval", "--instance"), "[" * 100_000, "nested too deep"),
             (("experiment", "--config"), "[" * 100_000, "nested too deep"),
             (("eval", "--instance"), '{"n": 3, "edges": [[1, 2, 1]], "n": 4}', "duplicate key 'n'"),
+            # an integer past Python's 4300-digit limit for int() of a string
+            (("eval", "--instance"), '{"n": 3, "edges": [[1, 2, %s]]}' % ("7" * 5000),
+             "error: invalid instance JSON: Exceeds the limit"),
+            (("experiment", "--config"), '{"kind": "ratio_sweep", "n_min": %s}' % ("7" * 5000),
+             "error: invalid config JSON: Exceeds the limit"),
         ],
-        ids=["nested_instance", "nested_config", "duplicate_n"],
+        ids=["nested_instance", "nested_config", "duplicate_n", "long_int_instance", "long_int_config"],
     )
     def test_strict_json_files_exit_1(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "strict.json"
@@ -551,6 +563,12 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:") and message in err
         assert err.count("\n") == 1
+
+    def test_duplicate_key_message_has_one_prefix(self, capsys, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('{"n": 3, "edges": [[1, 2, 1]], "n": 4}')
+        code, out, err = run_cli(capsys, "eval", "--instance", str(path))
+        assert (code, out, err) == (1, "", "error: invalid instance JSON: duplicate key 'n'\n")
 
 
 def _reject_constant(name):

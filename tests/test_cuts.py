@@ -48,9 +48,13 @@ from bilingap.instances import (
 )
 from bilingap.rng import bits, draws
 
-from conftest import enumerate_cut_values, oracle_mu, random_int_graph, splitmix64_reference
-
-TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
+from conftest import (
+    TRIANGLE,
+    enumerate_cut_values,
+    oracle_mu,
+    random_int_graph,
+    splitmix64_reference,
+)
 
 
 class TestBruteforceExamples:

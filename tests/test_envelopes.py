@@ -35,9 +35,8 @@ from bilingap.graph import (
 )
 from bilingap.instances import hadamard_instance, random_pm1_complete
 
-from conftest import enumerate_cut_values, oracle_hull, oracle_mu, random_int_graph
+from conftest import TRIANGLE, enumerate_cut_values, oracle_hull, oracle_mu, random_int_graph
 
-TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
 EDGE = SignedWeightedGraph(2, ((1, 2, 1.0),))
 
 

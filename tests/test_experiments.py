@@ -27,28 +27,7 @@ from bilingap.experiments import (
 )
 from bilingap.hullcheck import check_hull_exact
 
-
-def strip_times(text: str) -> str:
-    lines = text.splitlines()
-    if not lines:
-        return text
-    if lines[0].startswith("{"):
-        out = []
-        for line in lines:
-            obj = json.loads(line)
-            for val in obj.values():
-                if isinstance(val, dict):
-                    val.pop("wall_time_ms", None)
-            out.append(json.dumps(obj))
-        return "\n".join(out)
-    header = lines[0].split(",")
-    if "wall_time_ms" not in header:
-        return text
-    drop = header.index("wall_time_ms")
-    return "\n".join(
-        ",".join(cell for idx, cell in enumerate(line.split(",")) if idx != drop)
-        for line in lines
-    )
+from conftest import strip_wall_times
 
 
 def read_text(path) -> str:
@@ -465,7 +444,7 @@ class TestRunExperimentAndOutput:
                 output_path=str(out), threads=threads,
             )
             run_experiment(cfg)
-            texts[threads] = strip_times(read_text(out))
+            texts[threads] = strip_wall_times(read_text(out))
         assert texts[1] == texts[2]
 
     def test_rerun_identical_modulo_wall_time(self, tmp_path):
@@ -477,7 +456,7 @@ class TestRunExperimentAndOutput:
                 output_path=str(out), output_format="json",
             )
             run_experiment(cfg)
-            texts.append(strip_times(read_text(out)))
+            texts.append(strip_wall_times(read_text(out)))
         assert texts[0] == texts[1]
 
     def test_stress_and_census_csv_headers(self, tmp_path):

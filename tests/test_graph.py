@@ -50,9 +50,8 @@ from bilingap.instances import (
     uniform_real_complete,
 )
 
-from conftest import assert_same_graph, random_int_graph, subset_weights_reference
+from conftest import TRIANGLE, assert_same_graph, random_int_graph, subset_weights_reference
 
-TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
 MIXED = SignedWeightedGraph(3, ((1, 2, 5.0), (1, 3, -2.0), (2, 3, 1.0)))
 
 
@@ -948,11 +947,9 @@ class TestSerialization:
         g = self._sample()
         path = tmp_path / "oddname.dat"
         write_instance(g, path, fmt="text")
-        assert read_instance(path, fmt="text").edges == g.edges
+        assert read_instance(path).edges == g.edges
         with pytest.raises(InputError):
             write_instance(g, tmp_path / "bad.json", fmt="xml")
-        with pytest.raises(InputError):
-            read_instance(path, fmt="xml")
 
     def test_read_sniffs_json_content_without_extension(self, tmp_path):
         g = self._sample()

@@ -21,9 +21,7 @@ from bilingap.hullcheck import (
 )
 from bilingap.instances import signed_cycle, signed_path
 
-from conftest import random_int_graph
-
-TRIANGLE = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
+from conftest import TRIANGLE, random_int_graph
 
 
 def assert_coloring_valid(g, coloring, monochrome_sign):

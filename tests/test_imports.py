@@ -2,7 +2,7 @@
 
 No linter ships with the project, so these are the unused-import and the
 dead-private-name checks, plus the one-tolerance, read-only-cache,
-number-rule and one-kernel lints.
+number-rule, one-kernel and one-JSON-reader lints.
 Each module under src/bilingap is parsed with ast.  An imported name counts
 as used when the module reads it (a bare name, or the base of an attribute
 chain) or lists it in __all__.  A module-level private function, class or
@@ -304,3 +304,46 @@ def test_the_check_sees_a_planted_operand_read():
         tree = ast.parse((SRC / f"{module}.py").read_text() + planted)
         want = {(module, scope) for scope in ("_own_loop", "_Table", "<module>")}
         assert _operand_readers(tree, module) == want | (_SCAN if module == "cuts" else set())
+
+
+# One JSON error rule: every JSON the program reads goes through graph._read_json,
+# which turns each ValueError of the parser into an InputError, so no other
+# module may call json.loads or json.load.
+_JSON_READS = {"loads", "load"}
+
+
+def _json_reads(tree: ast.Module) -> list[int]:
+    """Line numbers where the module reads json.loads or json.load, or imports either."""
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "json"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(a.name in _JSON_READS for a in node.names):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in _JSON_READS
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_json_is_read_only_in_graph(path):
+    found = _json_reads(ast.parse(path.read_text(), filename=str(path)))
+    if path.stem == "graph":
+        assert len(found) == 1, f"graph.py reads JSON outside _read_json at lines {found}"
+    else:
+        assert not found, f"{path.name} reads JSON at lines {found}; use graph._read_json"
+
+
+def test_the_check_sees_a_planted_json_read():
+    planted = (
+        "\nimport json as _j\nfrom json import load\n"
+        "def _own(text):\n    return json.loads(text), _j.load(text)\n"
+    )
+    tree = ast.parse((SRC / "cli.py").read_text() + planted)
+    base = len((SRC / "cli.py").read_text().splitlines())
+    assert _json_reads(tree) == [base + 3, base + 5, base + 5]
