@@ -42,8 +42,6 @@ from .experiments import (
     GapRecord,
     HullCensusRecord,
     run_experiment,
-    run_hadamard_ratio,
-    run_thm1_montecarlo,
 )
 from .graph import (
     Cut,
@@ -116,8 +114,6 @@ __all__ = [
     "random_pm1_complete",
     "read_instance",
     "run_experiment",
-    "run_hadamard_ratio",
-    "run_thm1_montecarlo",
     "signed_cycle",
     "signed_path",
     "verify_exactness_numerically",

@@ -102,7 +102,7 @@ def _cmd_gen(args) -> int:
         g = generate(args.n)
     else:
         g = generate(args.n, args.seed if arg == "seed" else _parse_signs(args.signs))
-    write_instance(g, args.out, fmt=args.format)
+    write_instance(g, args.out)
     sys.stderr.write(f"wrote {args.out} (n={g.n}, {g.num_edges} edges)\n")
     return 0
 
@@ -196,8 +196,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--signs", default=None, help="comma-separated +/- list for cycle/path, as --signs=-,+,+"
     )
-    p.add_argument("--out", required=True, help="output file (.json or .txt)")
-    p.add_argument("--format", choices=("json", "text"), default=None, help="override extension sniffing")
+    p.add_argument("--out", required=True, help="output file: JSON for a .json name, else text")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("eval", help="envelope values and gap ratio at a point")

@@ -1,6 +1,7 @@
 """Batch experiment drivers with deterministic, streamable CSV/JSON output.
 
-Five kinds are supported:
+run_experiment(cfg) is the one way to run an experiment: it runs cfg.kind,
+whose n cap ExperimentConfig has already checked.  Five kinds are supported:
 
 * thm1_montecarlo  - gap ratio of random +/-1 complete graphs at the all-half
                      point against the sqrt(n)/4 threshold, at one n,
@@ -141,11 +142,6 @@ class HullCensusRecord:
     wall_time_ms: float
 
 
-GAP_CSV_FIELDS = GapRecord.FIELDS
-CUT_CSV_FIELDS = CutStressRecord.FIELDS
-CENSUS_CSV_FIELDS = HullCensusRecord.FIELDS
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -275,7 +271,7 @@ def _run_gap_sweep(
     return _stream(cfg, GapRecord, worker, jobs, summarize)
 
 
-def run_thm1_montecarlo(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
+def _run_thm1_montecarlo(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     """Gap ratio of random +/-1 complete graphs on n = n_min = n_max vertices, all-half point.
 
     One record per seed seed_base..seed_base+num_instances-1, threshold sqrt(n)/4.
@@ -295,7 +291,7 @@ def run_thm1_montecarlo(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     return _run_gap_sweep(cfg, summarize)
 
 
-def run_ratio_sweep(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
+def _run_ratio_sweep(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     """thm1_montecarlo measurement swept over n = n_min..n_max, num_instances seeds each."""
 
     def summarize(records: list[GapRecord]) -> dict:
@@ -315,7 +311,7 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     return _run_gap_sweep(cfg, summarize)
 
 
-def run_hadamard_ratio(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
+def _run_hadamard_ratio(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     """Exact gap ratio and discrepancy check of bit-inner-product instances, n = n_min..n_max.
 
     Records use n as the instance_seed column since the family is
@@ -350,7 +346,7 @@ def run_hadamard_ratio(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     return _stream(cfg, GapRecord, worker, sizes, summarize)
 
 
-def run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], dict]:
+def _run_cutfinder_stress(cfg: ExperimentConfig) -> tuple[list[CutStressRecord], dict]:
     """Run find_large_cut over seeded instances, alternating +/-1 and real weights.
 
     Instance t uses seed seed_base + t, size cycling n_min..n_max, family
@@ -412,7 +408,7 @@ def _census_instances(cfg: ExperimentConfig):
         yield f"random:n{n}:s{seed}", random_signed_graph(n, seed)
 
 
-def run_hull_census(cfg: ExperimentConfig) -> tuple[list[HullCensusRecord], dict]:
+def _run_hull_census(cfg: ExperimentConfig) -> tuple[list[HullCensusRecord], dict]:
     """Compare the parity-based exactness decision against exhaustive numerics.
 
     Covers all sign patterns of small cycles and paths plus seeded random
@@ -438,13 +434,14 @@ def run_hull_census(cfg: ExperimentConfig) -> tuple[list[HullCensusRecord], dict
     return _stream(cfg, HullCensusRecord, worker, _census_instances(cfg), summarize)
 
 
-# kind -> (largest n it accepts, runner); EXPERIMENT_KINDS keeps this order
+# kind -> (largest n it accepts, runner); only run_experiment calls a runner, so every
+# run passes its config's checks.  EXPERIMENT_KINDS keeps this order.
 _KINDS = {
-    "thm1_montecarlo": (24, run_thm1_montecarlo),
-    "hadamard_ratio": (24, run_hadamard_ratio),
-    "cutfinder_stress": (50, run_cutfinder_stress),
-    "hull_census": (10, run_hull_census),
-    "ratio_sweep": (24, run_ratio_sweep),
+    "thm1_montecarlo": (24, _run_thm1_montecarlo),
+    "hadamard_ratio": (24, _run_hadamard_ratio),
+    "cutfinder_stress": (50, _run_cutfinder_stress),
+    "hull_census": (10, _run_hull_census),
+    "ratio_sweep": (24, _run_ratio_sweep),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 

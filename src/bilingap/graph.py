@@ -522,16 +522,10 @@ def loads_text(text: str) -> SignedWeightedGraph:
     return SignedWeightedGraph(n, tuple(edges))
 
 
-def write_instance(g: SignedWeightedGraph, path: str | Path, fmt: str | None = None) -> None:
-    """Write an instance file; fmt 'json' or 'text', default from the extension."""
+def write_instance(g: SignedWeightedGraph, path: str | Path) -> None:
+    """Write an instance file: JSON for a .json name, text for any other name."""
     path = Path(path)
-    fmt = fmt or ("json" if path.suffix == ".json" else "text")
-    if fmt == "json":
-        path.write_text(dumps_json(g) + "\n")
-    elif fmt == "text":
-        path.write_text(dumps_text(g))
-    else:
-        raise InputError(f"unknown instance format {fmt!r} (expected 'json' or 'text')")
+    path.write_text(dumps_json(g) + "\n" if path.suffix == ".json" else dumps_text(g))
 
 
 def read_instance(path: str | Path) -> SignedWeightedGraph:

@@ -27,8 +27,7 @@ from bilingap.envelopes import (
 )
 from bilingap.experiments import (
     ExperimentConfig,
-    run_cutfinder_stress,
-    run_hull_census,
+    run_experiment,
     uniform_real_complete,
 )
 from bilingap.graph import (
@@ -141,7 +140,7 @@ def test_criterion_4_cut_guarantee_stress():
     cfg = ExperimentConfig(
         kind="cutfinder_stress", n_min=3, n_max=50, num_instances=1000, seed_base=0
     )
-    records, summary = run_cutfinder_stress(cfg)
+    records, summary = run_experiment(cfg)
     good_samples = [r for r in records if r.case != "brute_fallback"]
     violations = [r for r in good_samples if not r.meets_guarantee]
     brute_ok = True
@@ -219,7 +218,7 @@ def test_criterion_5_gap_ratio_bound_property():
 def test_criterion_6_exactness_equivalence():
     start = time.monotonic()
     cfg = ExperimentConfig(kind="hull_census", n_min=2, n_max=8, num_instances=200)
-    records, summary = run_hull_census(cfg)
+    records, summary = run_experiment(cfg)
     agree = summary["fraction_agree"] == 1.0
     paths_exact = all(r.exact for r in records if r.instance_id.startswith("path"))
     odd_cycles_not_exact = all(

@@ -59,13 +59,22 @@ class TestGen:
     def test_gen_text_format(self, capsys, tmp_path):
         out = str(tmp_path / "inst.txt")
         code, _, _ = run_cli(
-            capsys, "gen", "--family", "cycle", "--n", "4",
-            "--signs", "+,+,-,-", "--out", out, "--format", "text",
+            capsys, "gen", "--family", "cycle", "--n", "4", "--signs", "+,+,-,-", "--out", out,
         )
         assert code == 0
+        assert (tmp_path / "inst.txt").read_text().startswith("# n 4\n")
         g = read_instance(out)
         assert g.num_edges == 4
         assert g.weight(3, 4) == -1.0
+
+    def test_gen_has_no_format_flag(self, capsys, tmp_path):
+        """The --out name alone picks the format."""
+        out = tmp_path / "c4.json"
+        code, stdout, err = run_cli(
+            capsys, "gen", "--family", "hadamard", "--n", "4", "--out", str(out), "--format=text"
+        )
+        assert (code, stdout) == (1, "")
+        assert "unrecognized arguments: --format" in err and not out.exists()
 
     def test_gen_random_family_needs_seed(self, capsys, tmp_path):
         out = str(tmp_path / "x.json")
@@ -113,16 +122,16 @@ class TestGen:
 
     @pytest.mark.parametrize("command", ["eval", "cut", "maxcut", "hullcheck"])
     def test_text_file_named_json_is_read_as_text(self, capsys, tmp_path, command):
-        # the content decides the format, not the name: the README's gen example
+        # the content decides the format, not the name
+        code, _, _ = run_cli(
+            capsys, "gen", "--family", "cycle", "--n", "4",
+            "--signs", "+,+,-,-", "--out", str(tmp_path / "c4.txt"),
+        )
+        assert code == 0
+        (tmp_path / "c4.json").write_text((tmp_path / "c4.txt").read_text())
         outputs = []
         for name in ("c4.json", "c4.txt"):
-            out = str(tmp_path / name)
-            code, _, _ = run_cli(
-                capsys, "gen", "--family", "cycle", "--n", "4",
-                "--signs", "+,+,-,-", "--out", out, "--format", "text",
-            )
-            assert code == 0
-            code, stdout, err = run_cli(capsys, command, "--instance", out)
+            code, stdout, err = run_cli(capsys, command, "--instance", str(tmp_path / name))
             assert (code, err) == (0, "")
             outputs.append(stdout)
         assert outputs[0] == outputs[1]
@@ -760,7 +769,6 @@ _CLI_FLAGS = {
         "--seed": _SEED,
         "--signs": _joined(st.sampled_from(["+", "-", "1", "-1"]), 8),
         "--out": st.sampled_from(["@gen.json", "@gen.txt"]),
-        "--format": st.sampled_from(["json", "text"]),
     },
     "eval": {"--instance": _INSTANCE, "--point": _joined(_COORD, 8)},
     "cut": {"--instance": _INSTANCE, "--seed": _SEED, "--budget": st.integers(1, 50).map(str)},

@@ -11,18 +11,13 @@ import pytest
 from bilingap import experiments
 from bilingap.errors import CapacityError, InputError, InvariantViolationError
 from bilingap.experiments import (
-    CENSUS_CSV_FIELDS,
-    CUT_CSV_FIELDS,
     EXPERIMENT_KINDS,
-    GAP_CSV_FIELDS,
     MAX_THREADS,
+    CutStressRecord,
     ExperimentConfig,
-    run_cutfinder_stress,
+    GapRecord,
+    HullCensusRecord,
     run_experiment,
-    run_hadamard_ratio,
-    run_hull_census,
-    run_ratio_sweep,
-    run_thm1_montecarlo,
     uniform_real_complete,
 )
 from bilingap.hullcheck import check_hull_exact
@@ -44,12 +39,17 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             ExperimentConfig(kind="nope", n_min=2, n_max=4)
 
-    def test_n_caps_per_kind(self):
-        with pytest.raises(CapacityError):
-            ExperimentConfig(kind="thm1_montecarlo", n_min=2, n_max=25)
-        with pytest.raises(CapacityError):
-            ExperimentConfig(kind="hull_census", n_min=2, n_max=11)
-        ExperimentConfig(kind="cutfinder_stress", n_min=3, n_max=50)  # allowed
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_n_caps_per_kind(self, kind):
+        """One instance at the kind's cap runs through run_experiment; cap + 1 is refused."""
+        cap = experiments._KINDS[kind][0]
+        records, summary = run_experiment(
+            ExperimentConfig(kind=kind, n_min=cap, n_max=cap, num_instances=1)
+        )
+        assert summary["kind"] == kind
+        assert [r.n for r in records] == [cap]
+        with pytest.raises(CapacityError, match=f"supports n <= {cap}, got {cap + 1}"):
+            ExperimentConfig(kind=kind, n_min=cap + 1, n_max=cap + 1)
 
     def test_other_fields(self):
         with pytest.raises(InputError):
@@ -118,7 +118,7 @@ class TestConfigValidation:
 class TestThm1MonteCarlo:
     def test_n2_every_instance_ratio_one(self):
         cfg = ExperimentConfig(kind="thm1_montecarlo", n_min=2, n_max=2, num_instances=5)
-        records, summary = run_thm1_montecarlo(cfg)
+        records, summary = run_experiment(cfg)
         assert len(records) == 5
         for rec in records:
             assert rec.mcgap == 0.5 and rec.chgap == 0.5
@@ -131,7 +131,7 @@ class TestThm1MonteCarlo:
         cfg = ExperimentConfig(
             kind="thm1_montecarlo", n_min=8, n_max=8, num_instances=4, seed_base=100
         )
-        records, summary = run_thm1_montecarlo(cfg)
+        records, summary = run_experiment(cfg)
         assert [r.instance_seed for r in records] == [100, 101, 102, 103]
         for rec in records:
             assert rec.mcgap == 8 * 7 / 4
@@ -143,8 +143,8 @@ class TestThm1MonteCarlo:
 
     def test_records_equal_ratio_sweep_at_one_n(self):
         kw = dict(n_min=7, n_max=7, num_instances=6, seed_base=40)
-        thm1, _ = run_thm1_montecarlo(ExperimentConfig(kind="thm1_montecarlo", **kw))
-        sweep, _ = run_ratio_sweep(ExperimentConfig(kind="ratio_sweep", **kw))
+        thm1, _ = run_experiment(ExperimentConfig(kind="thm1_montecarlo", **kw))
+        sweep, _ = run_experiment(ExperimentConfig(kind="ratio_sweep", **kw))
 
         def without_time(records):
             return [{k: v for k, v in r.to_dict().items() if k != "wall_time_ms"} for r in records]
@@ -159,7 +159,7 @@ class TestThm1MonteCarlo:
 class TestRatioSweep:
     def test_record_ordering_and_per_n_summary(self):
         cfg = ExperimentConfig(kind="ratio_sweep", n_min=2, n_max=4, num_instances=3)
-        records, summary = run_ratio_sweep(cfg)
+        records, summary = run_experiment(cfg)
         assert [(r.n, r.instance_seed) for r in records] == [
             (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2),
         ]
@@ -174,9 +174,9 @@ def hadamard_config(n_min: int, n_max: int) -> ExperimentConfig:
 
 class TestHadamardRatio:
     def test_single_size_and_range_configs_agree(self):
-        singles = [run_hadamard_ratio(hadamard_config(n, n)) for n in (4, 8)]
+        singles = [run_experiment(hadamard_config(n, n)) for n in (4, 8)]
         recs_a = [rec for recs, _ in singles for rec in recs]
-        recs_b, sum_b = run_hadamard_ratio(hadamard_config(4, 8))
+        recs_b, sum_b = run_experiment(hadamard_config(4, 8))
         rows_b = {row["n"]: row for row in sum_b["rows"]}
         for _, sum_a in singles:
             (row,) = sum_a["rows"]
@@ -187,7 +187,7 @@ class TestHadamardRatio:
         assert [r.n for r in recs_a] == [4, 8]
 
     def test_frozen_n18_values(self):
-        records, summary = run_hadamard_ratio(hadamard_config(18, 18))
+        records, summary = run_experiment(hadamard_config(18, 18))
         row = summary["rows"][0]
         assert row["mu_plus"] == 32.0
         assert row["mu_minus"] == -9.0
@@ -214,7 +214,7 @@ class TestCutfinderStress:
         cfg = ExperimentConfig(
             kind="cutfinder_stress", n_min=3, n_max=10, num_instances=20, seed_base=0
         )
-        records, summary = run_cutfinder_stress(cfg)
+        records, summary = run_experiment(cfg)
         assert len(records) == 20
         assert summary["fraction_meets_guarantee"] == 1.0
         assert summary["min_bound_ratio"] >= 1.0
@@ -227,7 +227,7 @@ class TestCutfinderStress:
         cfg = ExperimentConfig(
             kind="cutfinder_stress", n_min=5, n_max=5, num_instances=4, seed_base=7
         )
-        records, _ = run_cutfinder_stress(cfg)
+        records, _ = run_experiment(cfg)
         assert [r.family for r in records] == ["pm1", "real", "pm1", "real"]
         assert [r.instance_seed for r in records] == [7, 8, 9, 10]
 
@@ -236,7 +236,7 @@ class TestCutfinderStress:
         cfg = ExperimentConfig(
             kind="cutfinder_stress", n_min=3, n_max=5, num_instances=7, seed_base=7
         )
-        records, _ = run_cutfinder_stress(cfg)
+        records, _ = run_experiment(cfg)
         assert [(r.instance_seed, r.n) for r in records] == [
             (7, 3), (8, 4), (9, 5), (10, 3), (11, 4), (12, 5), (13, 3),
         ]
@@ -247,7 +247,7 @@ class TestHullCensus:
         cfg = ExperimentConfig(
             kind="hull_census", n_min=3, n_max=5, num_instances=7, seed_base=7
         )
-        records, _ = run_hull_census(cfg)
+        records, _ = run_experiment(cfg)
         assert [r.instance_id for r in records if r.instance_id.startswith("random:")] == [
             "random:n3:s7", "random:n4:s8", "random:n5:s9", "random:n3:s10",
             "random:n4:s11", "random:n5:s12", "random:n3:s13",
@@ -266,7 +266,7 @@ class TestHullCensus:
 
             monkeypatch.setattr(experiments, name, counted)
         cfg = ExperimentConfig(kind="hull_census", n_min=2, n_max=4, num_instances=5)
-        records, _ = run_hull_census(cfg)
+        records, _ = run_experiment(cfg)
         assert calls == {
             "signed_cycle": 8 + 16,
             "signed_path": 2 + 4 + 8,
@@ -276,7 +276,7 @@ class TestHullCensus:
 
     def test_tiny_census_agrees(self):
         cfg = ExperimentConfig(kind="hull_census", n_min=3, n_max=4, num_instances=5)
-        records, summary = run_hull_census(cfg)
+        records, summary = run_experiment(cfg)
         assert summary["fraction_agree"] == 1.0
         labels = [r.instance_id for r in records]
         assert sum(1 for s in labels if s.startswith("cycle3:")) == 8
@@ -384,7 +384,7 @@ class TestRecordLoop:
         if fmt == "json":
             assert [list(json.loads(line)) for line in lines] == [["config"], ["record"], ["record"]]
         else:
-            assert lines[0] == ",".join(CENSUS_CSV_FIELDS)
+            assert lines[0] == ",".join(HullCensusRecord.FIELDS)
 
 
 class TestRunExperimentAndOutput:
@@ -404,7 +404,7 @@ class TestRunExperimentAndOutput:
         assert lines[0] == "instance_seed,n,mcgap,chgap,ratio,threshold,threshold_met,wall_time_ms"
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "0"
-        assert ",".join(GAP_CSV_FIELDS) == lines[0]
+        assert ",".join(GapRecord.FIELDS) == lines[0]
 
     def test_csv_booleans_lowercase(self, tmp_path):
         out = tmp_path / "gaps.csv"
@@ -471,7 +471,7 @@ class TestRunExperimentAndOutput:
             "instance_seed,n,family,weight,bound,bound_ratio,meets_guarantee,case,"
             "trials_used,wall_time_ms"
         )
-        assert ",".join(CUT_CSV_FIELDS) == header
+        assert ",".join(CutStressRecord.FIELDS) == header
         out2 = tmp_path / "census.csv"
         cfg = ExperimentConfig(
             kind="hull_census", n_min=3, n_max=3, num_instances=1,
@@ -480,4 +480,4 @@ class TestRunExperimentAndOutput:
         run_experiment(cfg)
         header = read_text(out2).splitlines()[0]
         assert header == "instance_id,n,exact,numeric_exact,agree,wall_time_ms"
-        assert ",".join(CENSUS_CSV_FIELDS) == header
+        assert ",".join(HullCensusRecord.FIELDS) == header

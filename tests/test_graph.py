@@ -943,25 +943,25 @@ class TestSerialization:
         write_instance(g, path)
         assert read_instance(path).edges == g.edges
 
-    def test_format_override(self, tmp_path):
+    @pytest.mark.parametrize("name", ["oddname.dat", "noext", "g.JSON", "g.json.txt"])
+    def test_any_name_but_json_is_written_as_text(self, tmp_path, name):
         g = self._sample()
-        path = tmp_path / "oddname.dat"
-        write_instance(g, path, fmt="text")
+        path = tmp_path / name
+        write_instance(g, path)
+        assert path.read_text() == dumps_text(g)
         assert read_instance(path).edges == g.edges
-        with pytest.raises(InputError):
-            write_instance(g, tmp_path / "bad.json", fmt="xml")
 
     def test_read_sniffs_json_content_without_extension(self, tmp_path):
         g = self._sample()
         path = tmp_path / "noext"
-        write_instance(g, path, fmt="json")
+        path.write_text(dumps_json(g))
         assert read_instance(path).edges == g.edges
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_read_rejects_total_weight_above_cap(self, tmp_path, fmt):
         # no graph above the cap can be built, so the file is written by hand
         edges = ((1, 2, 1e308), (1, 3, -1e308), (2, 3, 1e308))
-        path = tmp_path / "huge"
+        path = tmp_path / f"huge.{'json' if fmt == 'json' else 'txt'}"
         if fmt == "json":
             path.write_text(json.dumps({"n": 3, "edges": edges}))
         else:
@@ -969,7 +969,7 @@ class TestSerialization:
         with pytest.raises(InputError, match="total absolute weight"):
             read_instance(path)
         g = SignedWeightedGraph(2, ((1, 2, MAX_TOTAL_ABS_WEIGHT),))
-        write_instance(g, path, fmt=fmt)
+        write_instance(g, path)
         assert read_instance(path).edges == g.edges
 
     def test_read_missing_file(self, tmp_path):

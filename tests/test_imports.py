@@ -2,7 +2,7 @@
 
 No linter ships with the project, so these are the unused-import and the
 dead-private-name checks, plus the one-tolerance, read-only-cache,
-number-rule, one-kernel and one-JSON-reader lints.
+number-rule, one-kernel, one-JSON-reader and one-runner lints.
 Each module under src/bilingap is parsed with ast.  An imported name counts
 as used when the module reads it (a bare name, or the base of an attribute
 chain) or lists it in __all__.  A module-level private function, class or
@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilingap import cuts
+import bilingap
+from bilingap import cuts, experiments
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bilingap"
 
@@ -347,3 +348,52 @@ def test_the_check_sees_a_planted_json_read():
     tree = ast.parse((SRC / "cli.py").read_text() + planted)
     base = len((SRC / "cli.py").read_text().splitlines())
     assert _json_reads(tree) == [base + 3, base + 5, base + 5]
+
+
+# One way to run an experiment: run_experiment dispatches on the config's kind,
+# whose n cap and one-n rule ExperimentConfig has checked.  A second public
+# runner would skip those checks, so the kind runners stay private.
+_RUNNER = "run_experiment"
+
+
+def _public_runners(tree: ast.Module) -> list[str]:
+    """Public run_* names the module binds at top level or lists in __all__."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+                    if target.id == "__all__":
+                        names |= {e.value for e in node.value.elts}
+    return sorted(name for name in names if name.startswith("run_"))
+
+
+@pytest.mark.parametrize("module", ["experiments", "__init__"])
+def test_run_experiment_is_the_only_runner(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert _public_runners(tree) == [_RUNNER]
+    loaded = bilingap if module == "__init__" else experiments
+    assert [name for name in vars(loaded) if name.startswith("run_")] == [_RUNNER]
+    assert [name for name in bilingap.__all__ if name.startswith("run_")] == [_RUNNER]
+
+
+def test_the_check_sees_a_planted_runner():
+    planted = {
+        "experiments": (
+            "\ndef run_census(cfg): ...\nrun_alias = run_experiment\n"
+            "from .cuts import find_large_cut as run_cuts\nclass _Kinds:\n    run_x = 1\n"
+        ),
+        "__init__": "\n__all__ = ['run_experiment', 'run_hull_census']\n",
+    }
+    want = {
+        "experiments": ["run_alias", "run_census", "run_cuts", _RUNNER],
+        "__init__": [_RUNNER, "run_hull_census"],
+    }
+    for module, source in planted.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text() + source)
+        assert _public_runners(tree) == want[module]
