@@ -1,11 +1,12 @@
 """Batch experiment drivers with deterministic, streamable CSV/JSON output.
 
 run_experiment(cfg) is the one way to run an experiment: it runs cfg.kind,
-whose n cap ExperimentConfig has already checked.  Five kinds are supported:
+whose n cap and fields ExperimentConfig has already checked.  Four kinds are
+supported:
 
-* thm1_montecarlo  - gap ratio of random +/-1 complete graphs at the all-half
-                     point against the sqrt(n)/4 threshold, at one n,
-* ratio_sweep      - the same measurement swept over a range of n,
+* ratio_sweep      - gap ratio of random +/-1 complete graphs at the all-half
+                     point against the sqrt(n)/4 threshold, at each n of a
+                     range (at one n, the Theorem 1 run),
 * hadamard_ratio   - exact gap ratio and discrepancy bound of the
                      bit-inner-product instances over a range of n,
 * cutfinder_stress - find_large_cut guarantee over many seeded instances,
@@ -24,7 +25,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cuts import all_subset_cut_extremes, all_subset_gamma, cut_range_bruteforce, find_large_cut
@@ -52,7 +52,11 @@ _INT_BOUNDS = {"num_instances": (1, None), "trial_budget": (1, None), "threads":
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative experiment description; all randomness derives from seed_base."""
+    """Declarative experiment description; all randomness derives from seed_base.
+
+    A field that its kind does not read (the third entry of its _KINDS row)
+    must keep its default; threads is only recorded, so every kind takes it.
+    """
 
     kind: str
     n_min: int
@@ -76,15 +80,14 @@ class ExperimentConfig:
             raise InputError(f"unknown experiment kind {self.kind!r}")
         if not 2 <= self.n_min <= self.n_max:
             raise InputError(f"need 2 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
-        cap = _KINDS[self.kind][0]
+        cap, _, unread = _KINDS[self.kind]
         if self.n_max > cap:
             raise CapacityError(f"kind {self.kind!r} supports n <= {cap}, got {self.n_max}")
-        if self.kind == "thm1_montecarlo" and self.n_min != self.n_max:
-            raise InputError(
-                f"thm1_montecarlo runs at one n (n_min = n_max), got {self.n_min}..{self.n_max}"
-            )
         if self.output_format not in ("csv", "json"):
             raise InputError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise InputError(f"kind {self.kind!r} does not take {f.name}")
 
     def to_json_dict(self) -> dict:
         """Every field but output_path, in field order: the config line of JSON output."""
@@ -158,19 +161,13 @@ class RecordWriter:
     stay valid prefixes of the final output if truncated mid-run.
     """
 
-    def __init__(
-        self,
-        path: str | Path | None,
-        fmt: str,
-        fields: Sequence[str],
-        config: ExperimentConfig,
-    ):
-        self.fmt = fmt
+    def __init__(self, config: ExperimentConfig, fields: Sequence[str]):
+        self.fmt = config.output_format
         self.fields = tuple(fields)
         self._fh = None
-        if path is not None:
-            self._fh = open(path, "w")
-            if fmt == "csv":
+        if config.output_path is not None:
+            self._fh = open(config.output_path, "w")
+            if self.fmt == "csv":
                 self._fh.write(",".join(self.fields) + "\n")
             else:
                 self._fh.write(json.dumps({"config": config.to_json_dict()}) + "\n")
@@ -211,7 +208,7 @@ def _stream(
     closes the output.  If a worker raises, the output is closed as the valid
     prefix written so far.  Returns (records, summary).
     """
-    writer = RecordWriter(cfg.output_path, cfg.output_format, record_type.FIELDS, cfg)
+    writer = RecordWriter(cfg, record_type.FIELDS)
     records = []
     try:
         for job in jobs:
@@ -251,12 +248,11 @@ def _gap_measurement(
     return values, mu_plus, mu_minus
 
 
-def _run_gap_sweep(
-    cfg: ExperimentConfig, summarize: Callable[[list[GapRecord]], dict]
-) -> tuple[list[GapRecord], dict]:
+def _run_ratio_sweep(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
     """Gap records of random +/-1 complete graphs for n = n_min..n_max, num_instances seeds each.
 
-    Threshold sqrt(n)/4.
+    Threshold sqrt(n)/4.  At one n (n_min = n_max) this is the Theorem 1 run,
+    and per_n holds its one row.
     """
     jobs = (
         (n, cfg.seed_base + t)
@@ -268,47 +264,24 @@ def _run_gap_sweep(
         n, seed = job
         return _gap_measurement(random_pm1_complete(n, seed), seed, math.sqrt(n) / 4.0)[0]
 
-    return _stream(cfg, GapRecord, worker, jobs, summarize)
-
-
-def _run_thm1_montecarlo(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
-    """Gap ratio of random +/-1 complete graphs on n = n_min = n_max vertices, all-half point.
-
-    One record per seed seed_base..seed_base+num_instances-1, threshold sqrt(n)/4.
-    """
-
-    def summarize(records: list[GapRecord]) -> dict:
-        ratios = [r.ratio for r in records]
-        return {
-            "n": cfg.n_max,
-            "num_instances": len(records),
-            "threshold": math.sqrt(cfg.n_max) / 4.0,
-            "fraction_met": sum(r.threshold_met for r in records) / len(records),
-            "min_ratio": min(ratios),
-            "max_ratio": max(ratios),
-        }
-
-    return _run_gap_sweep(cfg, summarize)
-
-
-def _run_ratio_sweep(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
-    """thm1_montecarlo measurement swept over n = n_min..n_max, num_instances seeds each."""
-
     def summarize(records: list[GapRecord]) -> dict:
         per_n = []
         for n in range(cfg.n_min, cfg.n_max + 1):
             group = [r for r in records if r.n == n]
+            ratios = [r.ratio for r in group]
             per_n.append(
                 {
                     "n": n,
-                    "mean_ratio": ordered_sum(r.ratio for r in group) / len(group),
-                    "min_ratio": min(r.ratio for r in group),
+                    "mean_ratio": ordered_sum(ratios) / len(group),
+                    "min_ratio": min(ratios),
                     "fraction_met": sum(r.threshold_met for r in group) / len(group),
+                    "max_ratio": max(ratios),
+                    "threshold": group[0].threshold,
                 }
             )
         return {"num_records": len(records), "per_n": per_n}
 
-    return _run_gap_sweep(cfg, summarize)
+    return _stream(cfg, GapRecord, worker, jobs, summarize)
 
 
 def _run_hadamard_ratio(cfg: ExperimentConfig) -> tuple[list[GapRecord], dict]:
@@ -434,14 +407,14 @@ def _run_hull_census(cfg: ExperimentConfig) -> tuple[list[HullCensusRecord], dic
     return _stream(cfg, HullCensusRecord, worker, _census_instances(cfg), summarize)
 
 
-# kind -> (largest n it accepts, runner); only run_experiment calls a runner, so every
-# run passes its config's checks.  EXPERIMENT_KINDS keeps this order.
+# kind -> (largest n it accepts, runner, config fields it does not read, which must keep
+# their defaults); only run_experiment calls a runner, so every run passes its config's
+# checks.  EXPERIMENT_KINDS keeps this order.
 _KINDS = {
-    "thm1_montecarlo": (24, _run_thm1_montecarlo),
-    "hadamard_ratio": (24, _run_hadamard_ratio),
-    "cutfinder_stress": (50, _run_cutfinder_stress),
-    "hull_census": (10, _run_hull_census),
-    "ratio_sweep": (24, _run_ratio_sweep),
+    "hadamard_ratio": (24, _run_hadamard_ratio, ("num_instances", "seed_base", "trial_budget")),
+    "cutfinder_stress": (50, _run_cutfinder_stress, ()),
+    "hull_census": (10, _run_hull_census, ("trial_budget",)),
+    "ratio_sweep": (24, _run_ratio_sweep, ("trial_budget",)),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 

@@ -7,6 +7,8 @@ the most negative reduced cost (Dantzig) and falls back to Bland's
 anti-cycling rule after a run of degenerate pivots.  Checks on cube values
 (basic values, pivot entries) use 1e-9 and checks on costs (reduced costs,
 dual slack, duality gap) 1e-9 * max|c|, so scaling c changes no decision.
+The ratio test's one absolute window is 1e-12: ratios that close are tied,
+and the tie goes to the smallest basic variable.
 The caller supplies the start tableau B^-1 [A | b].  Each pivot is a
 row-normalized outer-product update in numpy; only the ratio test over the few
 rows runs as a Python loop.  Every optimum is checked primal feasible and
@@ -36,7 +38,8 @@ def _pivot_loop(tab, basis, tol, max_iter):
     the most negative reduced cost (Dantzig, lowest index on ties) until
     _DEGENERATE_RUN pivots in a row leave the basic solution in place, then on
     the lowest improving index (Bland) until the loop ends.  The leaving row
-    has the smallest ratio, ties to the smallest basic variable.  Returns the
+    has the smallest ratio; ratios within an absolute 1e-12 of each other are
+    tied, and ties go to the smallest basic variable.  Returns the
     iteration count on optimality, -1 on the iteration cap, -2 if no pivot row
     exists (unbounded; impossible for these bounded LPs).
     """

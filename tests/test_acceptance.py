@@ -283,8 +283,8 @@ def test_criterion_7_dual_certificates_exhaustive():
 def test_criterion_8_cli_determinism(tmp_path, capsys):
     start = time.monotonic()
     runs = [
-        ("thm1_montecarlo", ["--n", "8", "--num-instances", "10"], "csv"),
-        ("thm1_montecarlo", ["--n", "8", "--num-instances", "10"], "json"),
+        ("ratio_sweep", ["--n", "8", "--num-instances", "10"], "csv"),
+        ("ratio_sweep", ["--n", "8", "--num-instances", "10"], "json"),
         ("ratio_sweep", ["--n-min", "2", "--n-max", "6", "--num-instances", "4"], "csv"),
         ("cutfinder_stress", ["--n-min", "3", "--n-max", "12", "--num-instances", "20"], "json"),
         ("hull_census", ["--n-min", "3", "--n-max", "5", "--num-instances", "10"], "csv"),
@@ -292,10 +292,10 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
     ]
     all_identical = True
     mismatches = []
-    for kind, flags, fmt in runs:
+    for run, (kind, flags, fmt) in enumerate(runs):
         texts = []
         for rep in range(2):
-            out = tmp_path / f"{kind}-{fmt}-{rep}.out"
+            out = tmp_path / f"{run}-{kind}-{fmt}-{rep}.out"
             code = cli_main(
                 ["experiment", kind, *flags, "--out", str(out), "--format", fmt]
             )

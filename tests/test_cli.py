@@ -284,7 +284,7 @@ class TestExperimentCommand:
         for run in range(2):
             out = str(tmp_path / f"r{run}.csv")
             code, _, _ = run_cli(
-                capsys, "experiment", "thm1_montecarlo",
+                capsys, "experiment", "ratio_sweep",
                 "--n", "6", "--num-instances", "5", "--out", out,
             )
             assert code == 0
@@ -295,12 +295,12 @@ class TestExperimentCommand:
     def test_summary_printed_to_stdout(self, capsys, tmp_path):
         out = str(tmp_path / "g.csv")
         code, out_text, _ = run_cli(
-            capsys, "experiment", "thm1_montecarlo",
+            capsys, "experiment", "ratio_sweep",
             "--n", "2", "--num-instances", "2", "--out", out,
         )
         assert code == 0
         summary = json.loads(out_text)
-        assert summary["fraction_met"] == 1.0
+        assert summary["per_n"][0]["fraction_met"] == 1.0
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
@@ -348,7 +348,7 @@ class TestExperimentCommand:
 
     def test_capacity_exit_code(self, capsys, tmp_path):
         code, _, _ = run_cli(
-            capsys, "experiment", "thm1_montecarlo", "--n", "30",
+            capsys, "experiment", "ratio_sweep", "--n", "30",
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
@@ -455,13 +455,23 @@ class TestErrorPaths:
         assert out == ""
         assert "not finite" in err
 
-    def test_thm1_n_range_exit_1(self, capsys):
+    def test_removed_kind_is_an_invalid_choice(self, capsys):
+        """The Theorem 1 run is ratio_sweep at one n; thm1_montecarlo is no kind."""
+        code, out, err = run_cli(capsys, "experiment", "thm1_montecarlo", "--n", "8")
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'thm1_montecarlo'" in err
+
+    def test_unread_field_exit_1(self, capsys, tmp_path):
+        out_path = tmp_path / "h.csv"
         code, out, err = run_cli(
-            capsys, "experiment", "thm1_montecarlo", "--n-min", "4", "--n-max", "6"
+            capsys, "experiment", "hadamard_ratio", "--n-min", "4", "--n-max", "5",
+            "--num-instances", "7", "--out", str(out_path),
         )
         assert code == 1
         assert out == ""
-        assert "one n" in err
+        assert err == "error: kind 'hadamard_ratio' does not take num_instances\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "field, value",

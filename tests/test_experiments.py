@@ -32,20 +32,18 @@ def read_text(path) -> str:
 
 class TestConfigValidation:
     def test_kinds(self):
-        assert set(EXPERIMENT_KINDS) == {
-            "thm1_montecarlo", "hadamard_ratio", "cutfinder_stress",
-            "hull_census", "ratio_sweep",
-        }
+        assert EXPERIMENT_KINDS == (
+            "hadamard_ratio", "cutfinder_stress", "hull_census", "ratio_sweep",
+        )
         with pytest.raises(InputError):
             ExperimentConfig(kind="nope", n_min=2, n_max=4)
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_n_caps_per_kind(self, kind):
         """One instance at the kind's cap runs through run_experiment; cap + 1 is refused."""
-        cap = experiments._KINDS[kind][0]
-        records, summary = run_experiment(
-            ExperimentConfig(kind=kind, n_min=cap, n_max=cap, num_instances=1)
-        )
+        cap, _, unread = experiments._KINDS[kind]
+        one = {} if "num_instances" in unread else {"num_instances": 1}
+        records, summary = run_experiment(ExperimentConfig(kind=kind, n_min=cap, n_max=cap, **one))
         assert summary["kind"] == kind
         assert [r.n for r in records] == [cap]
         with pytest.raises(CapacityError, match=f"supports n <= {cap}, got {cap + 1}"):
@@ -92,13 +90,14 @@ class TestConfigValidation:
             ExperimentConfig(**kw)
 
     def test_numpy_integer_fields_are_stored_as_ints(self, tmp_path):
+        """cutfinder_stress reads every integer field, so each one can differ from its default."""
         out = tmp_path / "run.jsonl"
         ints = dict(n_min=2, n_max=3, num_instances=2, seed_base=5, trial_budget=10, threads=2)
         cfg = ExperimentConfig(
-            kind="ratio_sweep", output_path=str(out), output_format="json",
+            kind="cutfinder_stress", output_path=str(out), output_format="json",
             **{k: t(v) for (k, v), t in zip(ints.items(), (np.int64, np.int32, np.uint8) * 2)},
         )
-        assert cfg == ExperimentConfig(kind="ratio_sweep", output_path=str(out),
+        assert cfg == ExperimentConfig(kind="cutfinder_stress", output_path=str(out),
                                        output_format="json", **ints)
         assert all(type(getattr(cfg, k)) is int for k in ints)
         run_experiment(cfg)
@@ -109,51 +108,65 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_n_below_two_rejected_for_every_kind(self, kind):
         for n_min, n_max in ((1, 1), (0, 4), (1, 4)):
-            if kind == "thm1_montecarlo" and n_min != n_max:
-                continue
             with pytest.raises(InputError, match="2 <= n_min"):
                 ExperimentConfig(kind=kind, n_min=n_min, n_max=n_max)
 
+    @pytest.mark.parametrize(
+        "kind, field",
+        [(kind, field) for kind, (_, _, unread) in experiments._KINDS.items() for field in unread],
+    )
+    def test_unread_field_must_keep_its_default(self, kind, field):
+        default = ExperimentConfig.__dataclass_fields__[field].default
+        ExperimentConfig(kind=kind, n_min=4, n_max=5, **{field: default})
+        with pytest.raises(InputError, match=f"^kind {kind!r} does not take {field}$"):
+            ExperimentConfig(kind=kind, n_min=4, n_max=5, **{field: default + 7})
+
+    def test_unread_fields_are_checked_after_the_bounds(self):
+        with pytest.raises(InputError, match="num_instances must be >= 1"):
+            ExperimentConfig(kind="hadamard_ratio", n_min=4, n_max=5, num_instances=0)
+        with pytest.raises(CapacityError, match="supports n <= 24"):
+            ExperimentConfig(kind="hadamard_ratio", n_min=4, n_max=25, num_instances=7)
+
 
 class TestThm1MonteCarlo:
+    """The Theorem 1 Monte Carlo run: ratio_sweep at one n, whose summary has one per_n row."""
+
     def test_n2_every_instance_ratio_one(self):
-        cfg = ExperimentConfig(kind="thm1_montecarlo", n_min=2, n_max=2, num_instances=5)
+        cfg = ExperimentConfig(kind="ratio_sweep", n_min=2, n_max=2, num_instances=5)
         records, summary = run_experiment(cfg)
         assert len(records) == 5
         for rec in records:
             assert rec.mcgap == 0.5 and rec.chgap == 0.5
             assert rec.ratio == pytest.approx(1.0)
             assert rec.threshold_met  # sqrt(2)/4 < 1
-        assert summary["fraction_met"] == 1.0
-        assert summary["threshold"] == pytest.approx(math.sqrt(2.0) / 4.0)
+        (row,) = summary["per_n"]
+        assert row["fraction_met"] == 1.0
+        assert row["threshold"] == pytest.approx(math.sqrt(2.0) / 4.0)
 
     def test_mcgap_formula_and_seeds(self):
         cfg = ExperimentConfig(
-            kind="thm1_montecarlo", n_min=8, n_max=8, num_instances=4, seed_base=100
+            kind="ratio_sweep", n_min=8, n_max=8, num_instances=4, seed_base=100
         )
         records, summary = run_experiment(cfg)
         assert [r.instance_seed for r in records] == [100, 101, 102, 103]
         for rec in records:
             assert rec.mcgap == 8 * 7 / 4
             assert rec.n == 8
-        assert summary["num_instances"] == 4
-        assert 0.0 <= summary["fraction_met"] <= 1.0
-        assert summary["min_ratio"] <= summary["max_ratio"]
-
+        assert summary["num_records"] == 4
+        (row,) = summary["per_n"]
+        assert 0.0 <= row["fraction_met"] <= 1.0
+        assert row["min_ratio"] <= row["max_ratio"]
 
     def test_records_equal_ratio_sweep_at_one_n(self):
-        kw = dict(n_min=7, n_max=7, num_instances=6, seed_base=40)
-        thm1, _ = run_experiment(ExperimentConfig(kind="thm1_montecarlo", **kw))
-        sweep, _ = run_experiment(ExperimentConfig(kind="ratio_sweep", **kw))
+        """The one-n run writes the same records as a range sweep does at that n."""
+        kw = dict(num_instances=6, seed_base=40)
+        one_n, _ = run_experiment(ExperimentConfig(kind="ratio_sweep", n_min=7, n_max=7, **kw))
+        sweep, _ = run_experiment(ExperimentConfig(kind="ratio_sweep", n_min=5, n_max=8, **kw))
 
         def without_time(records):
             return [{k: v for k, v in r.to_dict().items() if k != "wall_time_ms"} for r in records]
 
-        assert without_time(thm1) == without_time(sweep)
-
-    def test_n_range_rejected(self):
-        with pytest.raises(InputError, match="one n"):
-            ExperimentConfig(kind="thm1_montecarlo", n_min=4, n_max=6)
+        assert without_time(one_n) == without_time([r for r in sweep if r.n == 7])
 
 
 class TestRatioSweep:
@@ -165,7 +178,11 @@ class TestRatioSweep:
         ]
         assert [row["n"] for row in summary["per_n"]] == [2, 3, 4]
         for row in summary["per_n"]:
-            assert row["min_ratio"] <= row["mean_ratio"]
+            assert list(row) == [
+                "n", "mean_ratio", "min_ratio", "fraction_met", "max_ratio", "threshold",
+            ]
+            assert row["min_ratio"] <= row["mean_ratio"] <= row["max_ratio"]
+            assert row["threshold"] == math.sqrt(row["n"]) / 4.0
 
 
 def hadamard_config(n_min: int, n_max: int) -> ExperimentConfig:
@@ -289,7 +306,6 @@ class TestHullCensus:
 
 # one small config per kind
 SMALL_RUNS = {
-    "thm1_montecarlo": dict(n_min=5, n_max=5, num_instances=3),
     "ratio_sweep": dict(n_min=3, n_max=5, num_instances=2),
     "hadamard_ratio": dict(n_min=2, n_max=6),
     "cutfinder_stress": dict(n_min=4, n_max=9, num_instances=4),
@@ -389,14 +405,14 @@ class TestRecordLoop:
 
 class TestRunExperimentAndOutput:
     def test_dispatch_unknown_guarded_by_config(self):
-        cfg = ExperimentConfig(kind="thm1_montecarlo", n_min=2, n_max=2, num_instances=2)
+        cfg = ExperimentConfig(kind="ratio_sweep", n_min=2, n_max=2, num_instances=2)
         records, summary = run_experiment(cfg)
         assert len(records) == 2
 
     def test_csv_header_contract(self, tmp_path):
         out = tmp_path / "gaps.csv"
         cfg = ExperimentConfig(
-            kind="thm1_montecarlo", n_min=2, n_max=2, num_instances=3,
+            kind="ratio_sweep", n_min=2, n_max=2, num_instances=3,
             output_path=str(out),
         )
         run_experiment(cfg)
@@ -409,7 +425,7 @@ class TestRunExperimentAndOutput:
     def test_csv_booleans_lowercase(self, tmp_path):
         out = tmp_path / "gaps.csv"
         cfg = ExperimentConfig(
-            kind="thm1_montecarlo", n_min=2, n_max=2, num_instances=1,
+            kind="ratio_sweep", n_min=2, n_max=2, num_instances=1,
             output_path=str(out),
         )
         run_experiment(cfg)
@@ -418,7 +434,7 @@ class TestRunExperimentAndOutput:
     def test_jsonl_structure(self, tmp_path):
         out = tmp_path / "gaps.jsonl"
         cfg = ExperimentConfig(
-            kind="thm1_montecarlo", n_min=2, n_max=2, num_instances=3,
+            kind="ratio_sweep", n_min=2, n_max=2, num_instances=3,
             output_path=str(out), output_format="json",
         )
         run_experiment(cfg)
@@ -426,7 +442,7 @@ class TestRunExperimentAndOutput:
         assert len(lines) == 5
         parsed = [json.loads(line) for line in lines]
         assert lines[0] == (
-            '{"config": {"kind": "thm1_montecarlo", "n_min": 2, "n_max": 2, "num_instances": 3, '
+            '{"config": {"kind": "ratio_sweep", "n_min": 2, "n_max": 2, "num_instances": 3, '
             '"seed_base": 0, "trial_budget": 1000, "output_format": "json", "threads": 1}}'
         )
         assert all("record" in p for p in parsed[1:4])

@@ -27,7 +27,7 @@ _CONSTANTS = {
     "experiment `threads`": experiments.MAX_THREADS,
 }
 # experiment kind -> the largest n it accepts
-_KIND_CAPS = {kind: cap for kind, (cap, _) in experiments._KINDS.items()}
+_KIND_CAPS = {kind: cap for kind, (cap, *_) in experiments._KINDS.items()}
 
 _KINDS_HEADING = "\nExperiment kinds and their n ranges"
 
