@@ -3,9 +3,10 @@
 For b(x) = sum a_ij x_i x_j on [0,1]^n this module computes
 
 * the McCormick bounding functions mcu/mcl (termwise closed form),
-* the concave/convex envelopes cav/vex of b (exact LP over the 2^n cube
-  vertices, or cut-based closed forms at points with coordinates in
-  {0, 1/2, 1}),
+* the concave/convex envelopes cav/vex of b: cut-based closed forms at
+  points with coordinates in {0, 1/2, 1}, McCormick itself at points with at
+  most two fractional coordinates (no cycle in the support, so McCormick is
+  the hull), and an exact LP over the cube vertices elsewhere,
 * the gaps mcgap = mcu - mcl and chgap = cav - vex plus their ratio,
 * dual certificates proving the envelope values at half points.
 """
@@ -106,16 +107,19 @@ def mccormick_envelopes(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[flo
 
     The relaxation optimum separates per edge: each product term ranges over
     [max(0, x_i + x_j - 1), min(x_i, x_j)] independently, so the extremes pick
-    the favorable interval end per edge according to the weight sign.
+    the favorable interval end per edge according to the weight sign.  The
+    lower end is computed as min - (1 - max), so an edge with an end at 0 or 1
+    has both ends equal bit for bit: its term is exact.
     """
     _check_point(g, x)
     c = x.coords
     mcu = 0.0
     mcl = 0.0
     for i, j, w in g.edges:
-        xi, xj = c[i - 1], c[j - 1]
-        hi = xi if xi < xj else xj
-        lo = xi + xj - 1.0
+        hi, top = c[i - 1], c[j - 1]
+        if hi > top:
+            hi, top = top, hi
+        lo = hi - (1.0 - top)
         if lo < 0.0:
             lo = 0.0
         if w > 0:
@@ -161,45 +165,34 @@ def _staircase_start(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple[np.ndarray, 
 def hull_envelopes_lp(g: SignedWeightedGraph, x: EvaluationPoint) -> tuple[float, float]:
     """(cav, vex): exact envelope values at x via LP over all 2^n cube vertices.
 
-    Coordinates that are exactly 0 or 1 force every vertex of positive weight
+    With f <= 2 fractional coordinates the support has no cycle, and the
+    values are mccormick_envelopes(g, x): every term with an end at 0 or 1 is
+    linear on the face, and one product term's envelopes are its McCormick
+    pair (Al-Khayyal & Falk, Math. Oper. Res. 8, 1983).  For f >= 3,
+    coordinates that are exactly 0 or 1 force every vertex of positive weight
     to agree there (their marginal constraints pin the combination), so the LP
     is solved over the remaining fractional subcube with the dense primal
     simplex of bilingap.simplex.  Its equality matrix [bits; 1] is
     _mask_table(f).T, a view of the cut kernel's cached 0/1 table.  Both sides
     start from one staircase tableau built in closed form (_staircase_start),
     and each side's value is certified primal feasible and optimal by weak
-    duality (InvariantViolationError if the certificate fails).  With f = 1
-    or 2 fractional coordinates the values are closed forms instead, which the
-    simplex and its certificate never see.  Capped at f <= LP_SIZE_CAP
-    fractional coordinates, which size the LP; n does not.
+    duality (InvariantViolationError if the certificate fails).  Capped at
+    f <= LP_SIZE_CAP fractional coordinates, which size the LP; n does not.
     """
     _check_point(g, x)
     frac = list(x.fractional_support)  # ascending
     f = len(frac)
+    if f <= 2:
+        return mccormick_envelopes(g, x)
     if f > LP_SIZE_CAP:
         raise CapacityError(f"hull LP needs f <= {LP_SIZE_CAP} fractional coordinates, got {f}")
     ones = x.one_support
     base = gamma_weight(g, ones)
-    if f == 0:
-        return base, base
     xs = np.array([x.coords[v - 1] for v in frac])
     w_frac = g.weight_matrix[frac]
     w_ff = w_frac[:, frac]
     to_one = w_frac[:, list(ones)].sum(axis=1)
     c = base + subset_gamma(w_ff + np.diag(2.0 * to_one))
-    if f == 1:
-        val = float((1.0 - xs[0]) * c[0] + xs[0] * c[1])
-        return val, val
-    if f == 2:
-        # One-dimensional feasible segment; evaluate both endpoints.
-        x1, x2 = float(xs[0]), float(xs[1])
-        lam = np.array([(1 - x1) * (1 - x2), x1 * (1 - x2), (1 - x1) * x2, x1 * x2])
-        slope = float(c[0] - c[1] - c[2] + c[3])
-        t_lo = -min(lam[0], lam[3])
-        t_hi = min(lam[1], lam[2])
-        v0 = float(lam @ c)
-        vals = (v0 + t_lo * slope, v0 + t_hi * slope)
-        return float(max(vals)), float(min(vals))
     a_mat = _mask_table(f).T
     b_vec = np.append(xs, 1.0)
     basis, start = _staircase_start(a_mat, b_vec)
@@ -354,8 +347,10 @@ def gap_report(g: SignedWeightedGraph, x: EvaluationPoint) -> GapReport:
     """Full envelope/gap report at x.
 
     Half points use the cut-based closed forms (exact enumeration of the
-    fractional support, capped at 26 vertices); other points solve the hull LP
-    (capped at f <= 16 fractional coordinates).  Gaps and ratio follow gap_ratio.
+    fractional support, capped at 26 vertices); other points take
+    hull_envelopes_lp (method "lp", capped at f <= 16 fractional coordinates),
+    whose f <= 2 case is McCormick itself, so there cav - vex == mcu - mcl and
+    the ratio is exactly 1 or degenerate.  Gaps and ratio follow gap_ratio.
     """
     _check_point(g, x)
     mcu, mcl = mccormick_envelopes(g, x)

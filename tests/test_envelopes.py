@@ -33,11 +33,36 @@ from bilingap.errors import CapacityError, CertificateError, InputError, Invaria
 from bilingap.graph import (
     _SLACK, SignedWeightedGraph, VertexSubset, gamma_abs_weight, gamma_weight, write_instance
 )
-from bilingap.instances import hadamard_instance, random_pm1_complete
+from bilingap.instances import hadamard_instance, random_pm1_complete, uniform_real_complete
 
 from conftest import TRIANGLE, enumerate_cut_values, oracle_hull, oracle_mu, random_int_graph
 
 EDGE = SignedWeightedGraph(2, ((1, 2, 1.0),))
+
+
+def _few_fractional(kind: str, f: int, count: int = 25):
+    """Seeded (complete graph, point) pairs, n <= 8, with f fractional coordinates.
+
+    The other coordinates are pinned at 0 or 1, and no fractional one is 1/2
+    unless f = 0, so gap_report takes its "lp" path at f >= 1.
+    """
+    for k in range(count):
+        rnd = random.Random(1000 * f + k)
+        n = rnd.randint(max(f, 2), 8)
+        seed = 100 * f + k
+        if kind == "pm1":
+            g = random_pm1_complete(n, seed)
+        elif kind == "integer":
+            g = random_int_graph(seed, n, edge_prob=1.0)
+        else:
+            g = uniform_real_complete(n, seed)
+        coords = [float(rnd.getrandbits(1)) for _ in range(n)]
+        for v in rnd.sample(range(n), f):
+            c = 0.5
+            while c in (0.0, 0.5):
+                c = rnd.random()
+            coords[v] = c
+        yield g, EvaluationPoint.from_iterable(coords)
 
 
 class TestEvaluationPoint:
@@ -149,6 +174,14 @@ class TestMcCormick:
         assert mcu == pytest.approx(up, abs=1e-12)
         assert mcl == pytest.approx(lo, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["pm1", "integer", "real"])
+    @pytest.mark.parametrize("f", [0, 1])
+    def test_an_end_at_zero_or_one_makes_the_term_exact(self, kind, f):
+        """At most one fractional coordinate: every term is exact, so mcu == mcl bit for bit."""
+        for g, x in _few_fractional(kind, f):
+            mcu, mcl = mccormick_envelopes(g, x)
+            assert mcu == mcl, x.coords
+
 
 class TestMcgapHalfpoint:
     def test_triangle(self):
@@ -193,13 +226,33 @@ class TestHullLp:
         "coords", [(0.0, 1.0, 1.0), (0.3, 1.0, 1.0), (0.3, 0.6, 1.0), (0.3, 0.6, 0.2)]
     )
     def test_every_branch_returns_floats(self, coords):
-        """f = 0, 1, 2 and >= 3 fractional coordinates, in the LP and in gap_report."""
+        """f = 0, 1, 2 (McCormick) and >= 3 (the LP) fractional coordinates, and gap_report."""
         g = SignedWeightedGraph(3, ((1, 2, 1.0), (1, 3, -2.0), (2, 3, 1.5)))
         x = EvaluationPoint(coords)
-        assert [type(v) for v in hull_envelopes_lp(g, x)] == [float, float]
+        values = hull_envelopes_lp(g, x)
+        assert [type(v) for v in values] == [float, float]
+        if len(x.fractional_support) <= 2:
+            assert values == mccormick_envelopes(g, x)
         rep = gap_report(g, x)
         for key in ("mcu", "mcl", "cav", "vex", "mcgap", "chgap", "ratio"):
             assert type(getattr(rep, key)) is float, key
+
+    @pytest.mark.parametrize("kind", ["pm1", "integer", "real"])
+    @pytest.mark.parametrize("f", [0, 1, 2])
+    def test_below_three_fractional_coordinates_is_mccormick(self, monkeypatch, kind, f):
+        """No cycle in the support: the hull is McCormick bit for bit, and no LP is solved."""
+
+        def no_lp(*args):
+            raise AssertionError("solve_min called with f <= 2")
+
+        monkeypatch.setattr(envelopes, "solve_min", no_lp)
+        for g, x in _few_fractional(kind, f):
+            cav, vex = hull_envelopes_lp(g, x)
+            assert (cav, vex) == mccormick_envelopes(g, x)
+            assert (cav, vex) == pytest.approx(oracle_hull(g, x.coords), abs=1e-9)
+            rep = gap_report(g, x)
+            assert rep.mcl <= rep.vex <= rep.cav <= rep.mcu, x.coords
+            assert rep.ratio == 1.0 and (rep.degenerate or f == 2), x.coords
 
     def test_binary_point_is_tight(self):
         x = EvaluationPoint.from_iterable((1.0, 0.0, 1.0))
@@ -584,19 +637,19 @@ class TestOneTableBuilder:
             dual_certificate(g, x, mu_minus, "upper_envelope")
         assert (scans, tables) == ([0, 0, 1, 1, 3, 3, 5, 5], [])
 
-    def test_hull_lp_builds_one_table_when_a_coordinate_is_fractional(self, monkeypatch):
+    def test_hull_lp_builds_one_table_only_when_f_is_three_or_more(self, monkeypatch):
         calls = []
         monkeypatch.setattr(envelopes, "subset_gamma", _counted(calls, cuts.subset_gamma))
         g = random_int_graph(12, 5)
         points = (
-            (0.0, 1.0, 1.0, 0.0, 1.0),  # f = 0: no table
+            (0.0, 1.0, 1.0, 0.0, 1.0),  # f <= 2: McCormick, no table
             (0.3, 1.0, 0.0, 1.0, 1.0),
             (0.3, 0.6, 0.0, 1.0, 1.0),
             (0.3, 0.6, 0.2, 0.9, 1.0),
         )
         for coords in points:
             hull_envelopes_lp(g, EvaluationPoint(coords))
-        assert calls == [1, 2, 4]
+        assert calls == [4]
 
     def test_all_subset_gamma_reaches_the_builder_once(self, monkeypatch):
         calls = []
